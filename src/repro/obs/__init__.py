@@ -52,6 +52,7 @@ The catalogue of series every layer feeds (labels in braces):
 ``repro_loop_active_requests``            requests in flight (worker or executor)
 ``repro_loop_state_seconds{state}``       per-request time by loop state (read/dispatch/serve/write)
 ``repro_loop_events_total{event}``        loop lifecycle events (accept/timeout/overflow/...)
+``repro_loop_lane_total{lane}``           requests by serving lane (loop/worker/executor)
 ``repro_trace_spans_shipped_total``       worker spans shipped back on response frames and stitched
 ``repro_trace_spans_dropped_total``       worker span subtrees dropped (payload over the size bound)
 ``repro_profile_samples_total``           stack samples taken by the sampling profiler
@@ -258,9 +259,19 @@ LOOP_STATE_SECONDS = METRICS.histogram(
 LOOP_EVENTS = METRICS.counter(
     "repro_loop_events_total",
     "Event-loop lifecycle events: accept, keepalive, timeout, overflow, "
-    "worker_fallback, reset.",
+    "worker_fallback, reset, handler_error.",
     ("event",),
 )
+LOOP_LANES = METRICS.counter(
+    "repro_loop_lane_total",
+    "Requests by the lane the front-end chose: loop (answered on the thread "
+    "that parsed it), worker (pool), executor (thread pool).",
+    ("lane",),
+)
+#: The three children, bound once: the front-ends bump one per request.
+LANE_COUNTERS = {
+    lane: LOOP_LANES.bind((lane,)) for lane in ("loop", "worker", "executor")
+}
 TRACE_SPANS_SHIPPED = METRICS.counter(
     "repro_trace_spans_shipped_total",
     "Worker-side spans shipped back on response frames and stitched into "

@@ -151,6 +151,10 @@ class Counter(_Family):
         with self._lock:
             self._children[values] = self._children.get(values, 0) + amount
 
+    def bind(self, labels: Sequence) -> "_BoundCounter":
+        """One label combination, validated now instead of on every ``inc``."""
+        return _BoundCounter(self, self._values(labels))
+
     def value(self, labels: Sequence = ()) -> float:
         with self._lock:
             return self._children.get(self._values(labels), 0)
@@ -172,6 +176,33 @@ class Counter(_Family):
                 for values, count in self._items()
             ],
         }
+
+
+class _Bound:
+    """One child of a family, its labels validated once (at import) instead
+    of on every record call — for series a hot path feeds per request.
+
+    Writes go through the family's children map by key, so :meth:`_Family.
+    clear` and the registry's enable switch keep working.
+    """
+
+    __slots__ = ("_family", "_values")
+
+    def __init__(self, family: _Family, values: _LabelValues) -> None:
+        self._family = family
+        self._values = values
+
+
+class _BoundCounter(_Bound):
+    __slots__ = ()
+
+    def inc(self, amount: int = 1) -> None:
+        family = self._family
+        if not family._registry.enabled:
+            return
+        with family._lock:
+            children = family._children
+            children[self._values] = children.get(self._values, 0) + amount
 
 
 class Gauge(_Family):
@@ -227,10 +258,16 @@ class Histogram(_Family):
             raise ValueError(f"histogram {name!r} needs at least one bucket")
         self.bounds = bounds
 
+    def bind(self, labels: Sequence) -> "_BoundHistogram":
+        """One label combination, validated now instead of on every ``observe``."""
+        return _BoundHistogram(self, self._values(labels))
+
     def observe(self, value: float, labels: Sequence = ()) -> None:
         if not self._registry.enabled:
             return
-        values = self._values(labels)
+        self._observe(value, self._values(labels))
+
+    def _observe(self, value: float, values: _LabelValues) -> None:
         with self._lock:
             child = self._children.get(values)
             if child is None:
@@ -317,6 +354,15 @@ class Histogram(_Family):
             "labels": list(self.labelnames),
             "values": entries,
         }
+
+
+class _BoundHistogram(_Bound):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        family = self._family
+        if family._registry.enabled:
+            family._observe(value, self._values)
 
 
 class MetricsRegistry:

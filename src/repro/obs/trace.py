@@ -299,15 +299,15 @@ class Tracer:
         request.root.finish()
         self._retain(request)
 
-    def attach_event(self, trace_id: str, name: str, seconds: float,
-                     rows: Optional[int] = None) -> bool:
-        """Append a finished span to an already-retained trace, post hoc.
+    def annotate(self, trace_id: str, events=(), **attrs) -> bool:
+        """Add finished child spans and root attributes to a retained trace.
 
-        Routed worker responses are written after the worker's own trace (or
-        the inline trace) was retained; the loop's write-time span can only be
-        known then.  Works because :meth:`get` builds the document lazily from
-        the live ``Span`` tree at read time.  Returns ``False`` when the trace
-        aged out of the ring.
+        An inline response's trace is retained when :meth:`request` exits,
+        before the front-end has written the response; what the front-end
+        measured around it (``events``: ``(name, seconds)`` pairs) and who
+        served it (``attrs``) can only be known then.  Works because
+        :meth:`get` builds the document lazily from the live ``Span`` tree at
+        read time.  Returns ``False`` when the trace aged out of the ring.
         """
         if not self.enabled:
             return False
@@ -315,16 +315,18 @@ class Tracer:
             record = self._traces.get(trace_id)
         if record is None:
             return False
-        span = Span(name)
-        span.seconds = seconds
-        span.rows = rows
-        record[0].children.append(span)
+        root = record[0]
+        root.attrs.update(attrs)
+        for name, seconds in events:
+            span = Span(name)
+            span.seconds = seconds
+            root.children.append(span)
         return True
 
     def attach_span(self, trace_id: str, span: Span) -> bool:
         """Graft a finished span subtree onto an already-retained trace.
 
-        The cross-process variant of :meth:`attach_event`: a worker's
+        The cross-process variant of :meth:`annotate`: a worker's
         shipped span tree can arrive after the master's trace was retained
         (the threaded front-end retains before writing the response).
         Returns ``False`` when the trace aged out of the ring.

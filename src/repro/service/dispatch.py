@@ -1,27 +1,32 @@
-"""Request routing and the worker-side op executor for the prefork pool.
+"""Lane choice, worker routing and the one read-op table of the serving tier.
 
 The master keeps the full :class:`~repro.service.QueryService` (databases,
 plan cache, mutation log); worker processes hold only *attached* shared-memory
 snapshot images (:class:`~repro.core.snapshot.SnapshotInstance` facades).
-That split fixes what each side can serve:
+A front-end serves each request on one of three **lanes**
+(:func:`choose_lane`):
 
-* **Routable** ops (:data:`ROUTABLE_OPS`) are the pure read path on an
-  already-built plan — ``access``, ``batch_access``, ``range``,
-  ``inverted_access``, ``count``.  A worker answers them entirely from its
-  attached image and returns the response *pre-encoded as JSON bytes*, so
-  the expensive answer serialization happens off the master's interpreter.
-* Everything else (prepare/builds, mutations, stats, metrics, explain,
-  register, topk/selection) runs in the master, which owns the state.
+* **loop** — a read of at most :data:`LOOP_LANE_MAX_ANSWERS` answers on a
+  cached plan whose served view is current runs to completion on the thread
+  that parsed it, against a reader *pinned* together with the epoch check
+  (:meth:`~repro.service.service.PreparedPlan.pinned_reader`): it can never
+  sync, rebuild or compact there, and no thread or process is woken.
+* **worker** — a larger routable read (:data:`ROUTABLE_OPS`) on a published
+  plan goes to the pool worker picked by plan fingerprint hash + the shard of
+  the request's leading rank (one worker's touched shards stay hot in its
+  page cache); it answers from its attached image and returns the response
+  *pre-encoded as JSON bytes*, off the master's interpreter.
+* **executor** — everything that can build, refresh, rebuild, compact, scrape
+  or block (prepare, mutations, the first read after a write, ``enum`` top-k,
+  stats/metrics/explain/selection, malformed or unroutable oversized reads)
+  runs in the master, off the event-loop thread.
 
-Routing is deterministic: plan fingerprint hash + the shard of the request's
-leading rank (:func:`shard_of_request` against the published image's offset
-table) pick the worker, so one worker's touched shards stay hot in its page
-cache instead of every worker faulting every shard.
-
-:func:`execute_snapshot_op` mirrors the master's op handlers *exactly* —
-same response field order, same error codes — so a routed response is
-bit-identical to the inline response for the same epoch (modulo the optional
-``trace`` id, which only the master's tracer appends).
+:func:`read_op` is the only implementation of the read ops: the master's
+handlers call it with the plan's synced reader, the loop lane with the pinned
+one, a worker (through the never-raising :func:`execute_read`) with its
+attached image — so the three lanes' responses for one epoch are
+byte-identical by construction (modulo the ``trace`` id only the master's
+tracer appends).
 
 Distributed tracing rides the same frames without touching the bodies:
 request frames carry trace context inside the JSON payload under the
@@ -42,17 +47,70 @@ from bisect import bisect_right
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.access import validate_rank
-from repro.exceptions import NotAnAnswerError, OutOfBoundsError
+from repro.exceptions import OutOfBoundsError
 from repro.service.protocol import (
     STATUS_BY_CODE,
     TRACE_KEY,
     ServiceError,
     decode_answer,
-    error_response,
+    encode_answer,
+    error_for,
 )
 
 #: Ops a worker can serve from an attached snapshot image alone.
 ROUTABLE_OPS = frozenset({"access", "batch_access", "range", "inverted_access", "count"})
+
+#: The largest read a front-end answers on the thread that parsed it.  The
+#: ladder prices an inline answer at 1.2-1.4 us (``service.execute_batch_ns_
+#: per_answer``) and a hand-off at ~190 us (``pool`` 95 + ``service.route`` 95
+#: to a worker; 60-250 us for the two thread wake-ups through the executor),
+#: so a read of <= 128 answers (~0.17 ms) is finished before anyone else could
+#: have been woken, and the same figure bounds how long one request holds the
+#: event loop (~0.2 ms).  A constant, not an option: one value is in use, and
+#: the property it depends on (answers requested) is visible in every request.
+LOOP_LANE_MAX_ANSWERS = 128
+
+
+def answers_requested(request: Mapping) -> Optional[int]:
+    """How many answers a read op asks for; ``None`` when the request is not
+    a read or its size fields are malformed (never the loop lane's: the
+    executor lane produces the structured 4xx)."""
+    op = request.get("op")
+    if op == "access":
+        return 1 if type(request.get("k")) is int else None
+    if op == "batch_access":
+        ks = request.get("ks")
+        # Ranks are checked here only when the batch could take the loop
+        # lane; a larger one is validated by whoever serves it.
+        if type(ks) is not list or (len(ks) <= LOOP_LANE_MAX_ANSWERS
+                                    and not all(type(k) is int for k in ks)):
+            return None
+        return len(ks)
+    if op == "range":
+        lo, hi = request.get("lo"), request.get("hi")
+        return hi - lo if type(lo) is int and type(hi) is int and lo <= hi else None
+    if op == "topk":
+        k = request.get("k")
+        return k if type(k) is int and k >= 0 else None
+    if op == "inverted_access":
+        return 1 if type(request.get("answer")) is list else None
+    return 0 if op == "count" else None
+
+
+def choose_lane(request: Mapping, reader, published: bool) -> str:
+    """``"loop"``, ``"worker"`` or ``"executor"`` for one request — pure.
+
+    ``reader``: the pinned reader of the cached plan the request names;
+    ``None`` when there is none, the plan is ``enum``, or its served view is
+    behind the live epoch.  ``published``: that reader is the plan's
+    published base image and a pool is running.
+    """
+    size = answers_requested(request)
+    if size is None or reader is None:
+        return "executor"
+    if size <= LOOP_LANE_MAX_ANSWERS:
+        return "loop"
+    return "worker" if published and request["op"] in ROUTABLE_OPS else "executor"
 
 
 def _fnv1a(text: str) -> int:
@@ -108,74 +166,90 @@ def pick_worker(
 
 
 # ----------------------------------------------------------------------
-# Worker-side execution (mirrors QueryService's handlers field for field)
+# The read ops (one table: master handlers, loop lane, workers)
 # ----------------------------------------------------------------------
-def _rank_field(request: Mapping, field: str) -> int:
+def required(request: Mapping, field: str):
     if field not in request:
         raise ServiceError("bad_request", f"request is missing the {field!r} field")
+    return request[field]
+
+
+def rank_field(request: Mapping, field: str) -> int:
+    """A required rank field, with type errors mapped to ``bad_request``.
+
+    Client-supplied ranks are validated here at the protocol boundary so the
+    engines' ``TypeError`` never has to be caught wholesale by the callers —
+    a blanket TypeError handler would misreport genuine server bugs as
+    client errors.
+    """
     try:
-        return validate_rank(request[field])
+        return validate_rank(required(request, field))
     except TypeError as exc:
         raise ServiceError("bad_request", str(exc)) from None
 
 
-def execute_snapshot_op(instance, fingerprint: str, request: Mapping) -> Dict[str, object]:
-    """Serve one routable op from an attached image; never raises.
+def read_op(reader, fingerprint: str, request: Mapping) -> Dict[str, object]:
+    """One read op against anything with ``access`` / ``batch_access`` /
+    ``range_access`` / ``inverted_access`` / ``count``: the response fields
+    after ``ok`` and ``op``, in wire order.
 
-    The response dicts replicate the master handlers' field order so the
-    JSON encoding is byte-identical with the inline path.
+    ``reader`` is a single-epoch object — a plan's synced or pinned view, a
+    SUM engine, a worker's attached image — so ``count`` followed by a range
+    read (``topk``) cannot straddle a mutation.  Raises
+    :class:`ServiceError`, :class:`OutOfBoundsError` or
+    :class:`NotAnAnswerError`; an engine ``TypeError`` is a server bug and
+    propagates as one.
     """
+    op = request.get("op")
+    if op == "access":
+        k = rank_field(request, "k")
+        return {"plan": fingerprint, "k": k, "answer": encode_answer(reader.access(k))}
+    if op == "batch_access":
+        ks = required(request, "ks")
+        if not isinstance(ks, (list, tuple)):
+            raise ServiceError("bad_request", "'ks' must be an array of ranks")
+        try:
+            # Scoped, so only the *client's* TypeError becomes bad_request.
+            # The engine re-validates (cheap next to the JSON parse of the
+            # same array); that redundancy is deliberate.
+            ks = [validate_rank(k) for k in ks]
+        except TypeError as exc:
+            raise ServiceError("bad_request", str(exc)) from None
+        answers = reader.batch_access(ks)
+        return {"plan": fingerprint, "answers": [encode_answer(a) for a in answers]}
+    if op == "range":
+        lo = rank_field(request, "lo")
+        hi = rank_field(request, "hi")
+        answers = reader.range_access(lo, hi)
+        return {"plan": fingerprint, "lo": lo, "hi": hi,
+                "answers": [encode_answer(a) for a in answers]}
+    if op == "inverted_access":
+        answer = decode_answer(required(request, "answer"))
+        return {"plan": fingerprint, "k": reader.inverted_access(answer)}
+    if op == "topk":
+        k = rank_field(request, "k")
+        if k < 0:
+            raise OutOfBoundsError(f"top-k size must be non-negative, got {k}")
+        answers = reader.range_access(0, min(k, reader.count))
+        return {"plan": fingerprint, "answers": [encode_answer(a) for a in answers]}
+    if op == "count":
+        return {"plan": fingerprint, "count": reader.count}
+    raise ServiceError("bad_request", f"op {op!r} is not a read op")
+
+
+def execute_read(reader, fingerprint: str, request: Mapping) -> Dict[str, object]:
+    """:func:`read_op` as a complete response; never raises (the worker's
+    entry point)."""
     try:
-        op = request.get("op")
-        if op == "access":
-            k = _rank_field(request, "k")
-            return {
-                "ok": True, "op": op, "plan": fingerprint, "k": k,
-                "answer": list(instance.access(k)),
-            }
-        if op == "batch_access":
-            ks = request.get("ks")
-            if "ks" not in request:
-                raise ServiceError("bad_request", "request is missing the 'ks' field")
-            if not isinstance(ks, (list, tuple)):
-                raise ServiceError("bad_request", "'ks' must be an array of ranks")
-            try:
-                ks = [validate_rank(k) for k in ks]
-            except TypeError as exc:
-                raise ServiceError("bad_request", str(exc)) from None
-            answers = instance.batch_access(ks)
-            return {
-                "ok": True, "op": op, "plan": fingerprint,
-                "answers": [list(a) for a in answers],
-            }
-        if op == "range":
-            lo = _rank_field(request, "lo")
-            hi = _rank_field(request, "hi")
-            answers = instance.range_access(lo, hi)
-            return {
-                "ok": True, "op": op, "plan": fingerprint, "lo": lo, "hi": hi,
-                "answers": [list(a) for a in answers],
-            }
-        if op == "inverted_access":
-            if "answer" not in request:
-                raise ServiceError("bad_request", "request is missing the 'answer' field")
-            answer = decode_answer(request["answer"])
-            return {
-                "ok": True, "op": op, "plan": fingerprint,
-                "k": instance.inverted_access(answer),
-            }
-        if op == "count":
-            return {"ok": True, "op": op, "plan": fingerprint, "count": instance.count}
-        return error_response("bad_request", f"op {op!r} is not worker-servable")
-    except ServiceError as exc:
-        return error_response(exc.code, str(exc), retry_after=exc.retry_after)
-    except OutOfBoundsError as exc:
-        return error_response("out_of_bounds", str(exc))
-    except NotAnAnswerError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        return error_response("not_an_answer", str(message))
-    except Exception as exc:  # pragma: no cover - defensive
-        return error_response("internal", f"{type(exc).__name__}: {exc}")
+        response = {"ok": True, "op": request.get("op")}
+        response.update(read_op(reader, fingerprint, request))
+        return response
+    except Exception as exc:
+        return error_for(exc)
+
+
+#: The name ``benchmarks/e2e/rungs.py`` (frozen) loads this entry point by.
+execute_snapshot_op = execute_read
 
 
 # ----------------------------------------------------------------------

@@ -13,16 +13,27 @@ a **single-threaded event loop** (``repro serve --io-loop event``):
   parsing, bounded body buffering, keep-alive and pipelining (strictly
   in-order responses, one in-flight request per connection), and slow-client
   write buffering via ``memoryview`` slices.
-* Routable read ops on published plans are written to a pool worker as a
-  length-prefixed frame (:mod:`repro.service.dispatch`) and the connection
-  **suspends** — no thread waits.  When the worker's reply frame arrives,
-  the pre-encoded JSON body bytes are passed through to the client socket
-  verbatim (vectored ``sendmsg`` of header + body; the master never parses,
-  re-serializes, or even copies the payload).
-* Everything else — plan builds, merged-delta reads, metrics scrapes,
-  ``/healthz`` health sweeps — is CPU-bound or blocking master work and is
-  shunted to a small :class:`~concurrent.futures.ThreadPoolExecutor`, so
-  the loop never stalls behind one slow request.
+* Each request takes one of three **lanes**, chosen from what the request and
+  the plan show (:func:`repro.service.dispatch.choose_lane`):
+
+  - *loop*: a read of at most ``LOOP_LANE_MAX_ANSWERS`` answers on a cached
+    plan whose served view is current runs to completion right here, on the
+    loop thread, against a reader pinned together with the epoch check — it
+    cannot sync, rebuild or compact, and nobody is woken to serve it.
+  - *worker*: a larger routable read on a published plan is written to a
+    pool worker as a length-prefixed frame and the connection **suspends** —
+    no thread waits.  When the worker's reply frame arrives, the pre-encoded
+    JSON body bytes are passed through to the client socket verbatim
+    (vectored ``sendmsg`` of header + body; the master never parses,
+    re-serializes, or even copies the payload).
+  - *executor*: everything that can build, refresh, rebuild, compact, scrape
+    or block — plan builds, mutations, the first read after a write, metrics
+    scrapes, ``/healthz`` health sweeps — goes to a small
+    :class:`~concurrent.futures.ThreadPoolExecutor`, so the loop never
+    stalls behind one slow request.
+* Pipelined requests are drained iteratively, a bounded burst per connection
+  per selector round, and an unexpected exception in one event's handler
+  costs that connection, never the loop.
 * Protocol edges answer structured errors instead of exhausting threads:
   header-read timeouts → 408 (``Connection: close``), connection cap → 503,
   ``Transfer-Encoding: chunked`` → 501, missing ``Content-Length`` → 411,
@@ -31,13 +42,15 @@ a **single-threaded event loop** (``repro serve --io-loop event``):
 Observability: the loop exports ``repro_loop_lag_seconds`` (heartbeat
 scheduling delay), ``repro_loop_open_connections`` /
 ``repro_loop_active_requests`` gauges, per-state timing
-(``repro_loop_state_seconds{state=read|dispatch|serve|write}``) and
-lifecycle counters (``repro_loop_events_total``).  Every request carries a
-trace: inline responses embed their trace id as usual and the loop attaches
-read/write spans post hoc; routed responses (whose bodies are worker-encoded
-and must not be touched) return the id in an ``X-Repro-Trace`` header, with
-queue-wait vs worker-time vs write-time spans visible via ``repro trace
-<id>``.
+(``repro_loop_state_seconds{state=read|dispatch|serve|write}``), lifecycle
+counters (``repro_loop_events_total``) and the lane split
+(``repro_loop_lane_total{lane}``).  Every request carries a trace whose root
+names its ``lane``: inline responses embed their trace id as usual and the
+loop attaches ``loop:read`` / ``loop:queue`` (executor lane) / ``loop:write``
+spans once the response is written; routed responses (whose bodies are
+worker-encoded and must not be touched) return the id in an
+``X-Repro-Trace`` header, with queue-wait vs worker-time vs write-time spans
+visible via ``repro trace <id>``.
 
 The public surface mirrors :class:`~repro.service.httpd.ServiceHTTPServer`
 (``server_address``, ``serve_forever``, ``shutdown``, ``server_close``,
@@ -49,6 +62,7 @@ from __future__ import annotations
 
 import email.utils
 import json
+import logging
 import math
 import selectors
 import socket
@@ -61,6 +75,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import (
     HTTP_ERRORS,
+    LANE_COUNTERS,
     LOOP_ACTIVE_REQUESTS,
     LOOP_EVENTS,
     LOOP_LAG,
@@ -69,6 +84,7 @@ from repro.obs import (
     METRICS,
     TRACER,
 )
+from repro.service.dispatch import choose_lane
 from repro.service.protocol import STATUS_BY_CODE, error_response
 from repro.service.service import QueryService
 
@@ -78,10 +94,23 @@ _RECV_CHUNK = 262144
 #: Read interest is dropped for a connection whose buffered-but-unparsed
 #: bytes exceed this while a request is in flight (pipelining backpressure).
 _PIPELINE_BUFFER_CAP = 1 * 1024 * 1024
+#: Requests one connection may have parsed and dispatched per selector round;
+#: the rest of its pipeline waits a round, so one client cannot starve others.
+_PIPELINE_BURST = 16
 _HEARTBEAT = 0.5
 
 _JSON_TYPE = "application/json"
 _SERVER_NAME = "repro-serve/1"
+
+_LOG = logging.getLogger(__name__)
+
+# The series the loop feeds on every request, bound once (no per-request
+# label validation); the rare lifecycle events go through LOOP_EVENTS.inc.
+_STATE_READ = LOOP_STATE_SECONDS.bind(("read",))
+_STATE_DISPATCH = LOOP_STATE_SECONDS.bind(("dispatch",))
+_STATE_SERVE = LOOP_STATE_SECONDS.bind(("serve",))
+_STATE_WRITE = LOOP_STATE_SECONDS.bind(("write",))
+_EVENT_KEEPALIVE = LOOP_EVENTS.bind(("keepalive",))
 
 
 def _status_line(status: int) -> bytes:
@@ -93,21 +122,21 @@ class _Response:
     """A computed response waiting to be written back on the loop."""
 
     __slots__ = ("status", "body", "content_type", "retry_after", "trace_id",
-                 "close", "routed")
+                 "close", "queue_seconds")
 
     def __init__(self, status: int, body: bytes,
                  content_type: str = _JSON_TYPE,
                  retry_after: Optional[float] = None,
                  trace_id: Optional[str] = None,
-                 close: bool = False,
-                 routed: bool = False) -> None:
+                 close: bool = False) -> None:
         self.status = status
         self.body = body
         self.content_type = content_type
         self.retry_after = retry_after
         self.trace_id = trace_id
         self.close = close
-        self.routed = routed
+        #: Executor lane: submit → job start (the ``loop:queue`` span).
+        self.queue_seconds: Optional[float] = None
 
 
 class _Connection:
@@ -115,10 +144,11 @@ class _Connection:
 
     __slots__ = (
         "sock", "fd", "buffer", "out", "closed", "close_after_write",
-        "in_flight", "reading", "want_write", "last_activity",
-        "request_started", "t_parsed", "t_dispatched",
+        "in_flight", "active", "queued", "reading", "want_write", "registered",
+        "last_activity", "request_started", "t_parsed", "t_dispatched",
         "method", "path", "headers", "content_length", "headers_parsed",
-        "trace", "trace_id", "op", "routed_request", "routed_started",
+        "trace", "trace_id", "op", "lane", "read_seconds", "queue_seconds",
+        "routed_request", "routed_started",
     )
 
     def __init__(self, sock: socket.socket) -> None:
@@ -129,8 +159,11 @@ class _Connection:
         self.closed = False
         self.close_after_write = False
         self.in_flight = False
-        self.reading = True       # read interest currently registered
-        self.want_write = False   # write interest currently registered
+        self.active = False       # counted in the server's _active_requests
+        self.queued = False       # on the server's ready list
+        self.reading = True       # read interest wanted
+        self.want_write = False   # write interest wanted
+        self.registered = selectors.EVENT_READ  # mask the selector holds
         self.last_activity = time.monotonic()
         self.request_started: Optional[float] = None
         self.t_parsed = 0.0
@@ -143,6 +176,9 @@ class _Connection:
         self.trace = None         # RequestTrace for routed requests
         self.trace_id: Optional[str] = None
         self.op: Optional[str] = None
+        self.lane: Optional[str] = None
+        self.read_seconds = 0.0
+        self.queue_seconds: Optional[float] = None
         #: The routed request + its parse-completion time, kept so the
         #: write-complete hook can feed the slow-query log with the full
         #: queue + worker + write duration (routed reads bypass execute()).
@@ -162,6 +198,9 @@ class _Connection:
         self.trace = None
         self.trace_id = None
         self.op = None
+        self.lane = None
+        self.read_seconds = 0.0
+        self.queue_seconds = None
         self.routed_request = None
         self.routed_started = 0.0
 
@@ -169,13 +208,14 @@ class _Connection:
 class _WorkerChannel:
     """A pool worker's serve socket as seen by the loop (non-blocking)."""
 
-    __slots__ = ("worker", "sock", "buffer", "out", "pending")
+    __slots__ = ("worker", "sock", "buffer", "out", "pending", "registered")
 
     def __init__(self, worker, sock: socket.socket) -> None:
         self.worker = worker
         self.sock = sock
         self.buffer = bytearray()
         self.out: Deque[memoryview] = deque()
+        self.registered = selectors.EVENT_READ  # mask the selector holds
         #: seq → (connection, request, dispatched_at)
         self.pending: Dict[int, Tuple[_Connection, Mapping, float]] = {}
 
@@ -241,6 +281,8 @@ class EventLoopHTTPServer:
         )
         self._completions: Deque[Tuple[_Connection, object]] = deque()
         self._completions_lock = threading.Lock()
+        #: Connections holding parsed-but-undispatched pipelined input.
+        self._ready: Deque[_Connection] = deque()
 
         self._connections: Dict[int, _Connection] = {}
         self._channels: Dict[int, _WorkerChannel] = {}
@@ -266,26 +308,31 @@ class EventLoopHTTPServer:
         next_beat = time.monotonic() + _HEARTBEAT
         try:
             while True:
-                timeout = max(0.0, next_beat - time.monotonic())
+                timeout = 0.0 if self._ready else max(
+                    0.0, next_beat - time.monotonic())
                 events = self._selector.select(timeout)
                 now = time.monotonic()
                 for key, mask in events:
                     kind, payload = key.data
-                    if kind == "conn":
-                        if mask & selectors.EVENT_READ:
-                            self._on_conn_readable(payload, now)
-                        if mask & selectors.EVENT_WRITE and not payload.closed:
-                            self._on_conn_writable(payload, now)
-                    elif kind == "worker":
-                        if mask & selectors.EVENT_READ:
-                            self._on_channel_readable(payload, now)
-                        if mask & selectors.EVENT_WRITE:
-                            self._flush_channel(payload)
-                    elif kind == "listen":
-                        self._on_accept(now)
-                    else:  # wake
-                        self._drain_wake_pipe()
+                    try:
+                        if kind == "conn":
+                            if mask & selectors.EVENT_READ:
+                                self._on_conn_readable(payload, now)
+                            if mask & selectors.EVENT_WRITE and not payload.closed:
+                                self._flush_out(payload)
+                        elif kind == "worker":
+                            if mask & selectors.EVENT_READ:
+                                self._on_channel_readable(payload, now)
+                            if mask & selectors.EVENT_WRITE:
+                                self._flush_channel(payload)
+                        elif kind == "listen":
+                            self._on_accept(now)
+                        else:  # wake
+                            self._drain_wake_pipe()
+                    except Exception:
+                        self._handler_failed(kind, payload)
                 self._run_completions(now)
+                self._run_ready(now)
                 if now >= next_beat:
                     lag = now - next_beat
                     next_beat = now + _HEARTBEAT
@@ -370,6 +417,18 @@ class EventLoopHTTPServer:
         self._executor.shutdown(wait=False)
         LOOP_OPEN_CONNECTIONS.set(0)
         LOOP_ACTIVE_REQUESTS.set(0)
+
+    def _handler_failed(self, kind: str, payload) -> None:
+        """An unexpected exception escaped one event's handler: give up that
+        connection (or worker channel, failing its frames over), never the
+        loop — every other client keeps being served."""
+        _LOG.exception("event-loop %s handler failed", kind)
+        LOOP_EVENTS.inc(("handler_error",))
+        if kind == "conn":
+            self._abandon_request(payload)
+            self._close_connection(payload)
+        elif kind == "worker":
+            self._drop_channel(payload)
 
     def _wake(self) -> None:
         try:
@@ -463,6 +522,9 @@ class EventLoopHTTPServer:
             mask |= selectors.EVENT_READ
         if conn.want_write:
             mask |= selectors.EVENT_WRITE
+        if mask == conn.registered:
+            return  # nothing changed: no epoll_ctl
+        conn.registered = mask
         try:
             if mask == 0:
                 # Backpressured mid-request: stop watching entirely — the
@@ -503,16 +565,40 @@ class EventLoopHTTPServer:
         conn.last_activity = now
         if was_empty and conn.buffer and conn.request_started is None:
             conn.request_started = now
-        self._advance(conn, now)
-
-    def _on_conn_writable(self, conn: _Connection, now: float) -> None:
-        self._flush_out(conn, now)
+        if not conn.queued:  # else _run_ready pumps it this very round
+            self._pump(conn, now)
 
     # ------------------------------------------------------------------
     # HTTP state machine
     # ------------------------------------------------------------------
-    def _advance(self, conn: _Connection, now: float) -> None:
-        """Parse and dispatch as much buffered input as ordering allows."""
+    def _pump(self, conn: _Connection, now: float) -> None:
+        """Parse and dispatch buffered requests, one after the other while
+        each is answered on the spot (loop lane, loop-answered errors) — at
+        most :data:`_PIPELINE_BURST` per call; what is left of the pipeline
+        is queued for the next selector round."""
+        conn.queued = True  # keeps _response_written from queueing it meanwhile
+        for _ in range(_PIPELINE_BURST):
+            if not self._advance(conn, now) or not conn.buffer:
+                break
+            now = time.monotonic()  # the select-time clock is stale by now
+        else:
+            self._ready.append(conn)
+            return
+        conn.queued = False
+
+    def _run_ready(self, now: float) -> None:
+        # Only what was queued before this pass: a connection re-queued by
+        # its own burst waits for the next round, behind everyone's events.
+        for _ in range(len(self._ready)):
+            conn = self._ready.popleft()
+            try:
+                self._pump(conn, now)
+            except Exception:
+                self._handler_failed("conn", conn)
+
+    def _advance(self, conn: _Connection, now: float) -> bool:
+        """Parse and dispatch the next buffered request if ordering allows;
+        whether one was dispatched."""
         if conn.closed or conn.in_flight:
             # Pipelined bytes wait; drop read interest past the cap so a
             # flooding client blocks in its own kernel buffer, not our RAM.
@@ -520,21 +606,23 @@ class EventLoopHTTPServer:
                     and len(conn.buffer) > _PIPELINE_BUFFER_CAP):
                 conn.reading = False
                 self._set_interest(conn)
-            return
+            return False
         if not conn.headers_parsed:
             if not self._parse_headers(conn, now):
-                return
+                return False
         if len(conn.buffer) < conn.content_length:
-            return  # body still arriving
+            return False  # body still arriving
         body = bytes(conn.buffer[:conn.content_length])
         del conn.buffer[:conn.content_length]
-        conn.in_flight = True
+        conn.in_flight = conn.active = True
         conn.t_parsed = now
         if conn.request_started is not None:
-            LOOP_STATE_SECONDS.observe(now - conn.request_started, ("read",))
+            conn.read_seconds = now - conn.request_started
+            _STATE_READ.observe(conn.read_seconds)
         self._active_requests += 1
         LOOP_ACTIVE_REQUESTS.set(self._active_requests)
         self._dispatch(conn, body, now)
+        return True
 
     def _parse_headers(self, conn: _Connection, now: float) -> bool:
         end = conn.buffer.find(b"\r\n\r\n")
@@ -659,24 +747,34 @@ class EventLoopHTTPServer:
 
     def _dispatch_request(self, conn: _Connection, request: Mapping,
                           now: float) -> None:
-        """Route to a worker frame when possible, else to the executor."""
+        """Serve on the lane the request and its plan call for."""
         op = request.get("op")
         conn.op = op if isinstance(op, str) else "invalid"
         service = self.service
-        pool = getattr(service, "pool", None)
-        if pool is not None and pool.running:
-            plan = service.routable_plan(request)
-            if plan is not None:
-                fingerprint = request["plan"]
-                epoch = plan.engine.base_epoch
-                if pool.export_current(fingerprint, epoch):
-                    worker = pool.route(fingerprint, request, epoch)
-                    if worker is not None and self._send_to_worker(
-                            worker, conn, request, now):
-                        return
-                else:
-                    # Exports catch up off-loop; this request serves inline.
-                    self._executor.submit(self._safe_ensure_export, pool, plan)
+        plan, reader, published = service.pinned(request)
+        lane = choose_lane(request, reader, published)
+        if lane == "loop":
+            # Answered right here against the pinned reader: no sync, no
+            # build, no wake-up (and so nothing to suspend the connection on).
+            conn.lane = lane
+            LANE_COUNTERS[lane].inc()
+            conn.t_dispatched = started = time.monotonic()
+            _STATE_DISPATCH.observe(started - conn.t_parsed)
+            self._finish_request(conn, self._job_execute(request, reader),
+                                 time.monotonic())
+            return
+        if lane == "worker":
+            pool = service.pool
+            fingerprint = plan.fingerprint
+            epoch = plan.engine.base_epoch
+            if pool.export_current(fingerprint, epoch):
+                worker = pool.route(fingerprint, request, epoch)
+                if worker is not None and self._send_to_worker(
+                        worker, conn, request, now):
+                    return
+            else:
+                # Exports catch up off-loop; this request serves inline.
+                self._executor.submit(self._safe_ensure_export, pool, plan)
         self._submit(conn, self._job_execute, request)
 
     def _safe_ensure_export(self, pool, plan) -> None:
@@ -689,11 +787,13 @@ class EventLoopHTTPServer:
     # Executor plumbing
     # ------------------------------------------------------------------
     def _submit(self, conn: _Connection, job, *args) -> None:
+        conn.lane = "executor"
+        LANE_COUNTERS["executor"].inc()
         conn.t_dispatched = time.monotonic()
-        LOOP_STATE_SECONDS.observe(conn.t_dispatched - conn.t_parsed,
-                                   ("dispatch",))
+        _STATE_DISPATCH.observe(conn.t_dispatched - conn.t_parsed)
         try:
-            future = self._executor.submit(job, *args)
+            future = self._executor.submit(
+                self._run_job, conn.t_dispatched, job, *args)
         except RuntimeError:  # shutting down
             self._finish_with_error(conn, 503, "overloaded",
                                     "server is shutting down")
@@ -719,9 +819,19 @@ class EventLoopHTTPServer:
                 if not self._completions:
                     return
                 conn, response = self._completions.popleft()
-            self._finish_request(conn, response, now)
+            try:
+                self._finish_request(conn, response, now)
+            except Exception:
+                self._handler_failed("conn", conn)
 
     # -- jobs (run on executor threads) --------------------------------
+    @staticmethod
+    def _run_job(submitted: float, job, *args) -> _Response:
+        queue_seconds = time.monotonic() - submitted
+        response = job(*args)
+        response.queue_seconds = queue_seconds
+        return response
+
     def _job_healthz(self) -> _Response:
         payload: Dict[str, object] = {"status": "ok"}
         pool = getattr(self.service, "pool", None)
@@ -750,8 +860,10 @@ class EventLoopHTTPServer:
         return _Response(200, text.encode("utf-8"),
                          content_type="text/plain; version=0.0.4; charset=utf-8")
 
-    def _job_execute(self, request: Mapping) -> _Response:
-        response = self.service.execute(request)
+    def _job_execute(self, request: Mapping, reader=None) -> _Response:
+        """``execute`` + JSON encoding: on an executor thread, or — with the
+        loop lane's pinned ``reader`` — on the loop thread itself."""
+        response = self.service.execute(request, reader)
         if response.get("ok"):
             status = 200
         else:
@@ -807,10 +919,13 @@ class EventLoopHTTPServer:
         if channel is None:
             return False
         seq = next(worker.seq) & 0xFFFFFFFF
+        conn.lane = "worker"
+        LANE_COUNTERS["worker"].inc()
         conn.t_dispatched = now
-        LOOP_STATE_SECONDS.observe(now - conn.t_parsed, ("dispatch",))
+        _STATE_DISPATCH.observe(now - conn.t_parsed)
         conn.trace = TRACER.open_request(
-            f"op:{conn.op}", path="event-loop", worker=worker.index)
+            f"op:{conn.op}", path="event-loop", worker=worker.index,
+            lane="worker")
         if conn.trace is not None:
             conn.trace_id = conn.trace.trace_id
             if conn.request_started is not None:
@@ -844,6 +959,9 @@ class EventLoopHTTPServer:
         mask = selectors.EVENT_READ
         if channel.out:
             mask |= selectors.EVENT_WRITE
+        if mask == channel.registered:
+            return  # nothing changed: no epoll_ctl
+        channel.registered = mask
         try:
             self._selector.modify(channel.sock, mask, ("worker", channel))
         except (KeyError, ValueError, OSError):
@@ -911,7 +1029,7 @@ class EventLoopHTTPServer:
                 conn.trace.set_status(status)
             self._finish_request(
                 conn,
-                _Response(status, body, trace_id=conn.trace_id, routed=True),
+                _Response(status, body, trace_id=conn.trace_id),
                 now,
             )
 
@@ -950,8 +1068,7 @@ class EventLoopHTTPServer:
         if close:
             conn.close_after_write = True
         self._write_response(conn, _Response(status, body,
-                                             retry_after=retry_after),
-                             time.monotonic())
+                                             retry_after=retry_after))
 
     def _finish_with_error(self, conn: _Connection, status: int, code: str,
                            message: str) -> None:
@@ -961,9 +1078,12 @@ class EventLoopHTTPServer:
         self._finish_request(conn, _Response(status, body), time.monotonic())
 
     def _abandon_request(self, conn: _Connection) -> None:
-        """Account for an in-flight request whose client is already gone."""
-        self._active_requests -= 1
-        LOOP_ACTIVE_REQUESTS.set(self._active_requests)
+        """Account for an in-flight request whose client is already gone
+        (a no-op once the request was finished or abandoned before)."""
+        if conn.active:
+            conn.active = False
+            self._active_requests -= 1
+            LOOP_ACTIVE_REQUESTS.set(self._active_requests)
         if conn.trace is not None:
             TRACER.close_request(conn.trace)
             conn.trace = None
@@ -973,15 +1093,16 @@ class EventLoopHTTPServer:
         if conn.closed:
             self._abandon_request(conn)
             return
+        conn.active = False
         self._active_requests -= 1
         LOOP_ACTIVE_REQUESTS.set(self._active_requests)
         if conn.t_dispatched:
-            LOOP_STATE_SECONDS.observe(now - conn.t_dispatched, ("serve",))
-        if response.trace_id is None:
-            response.trace_id = conn.trace_id
+            _STATE_SERVE.observe(now - conn.t_dispatched)
+        conn.trace_id = response.trace_id
+        conn.queue_seconds = response.queue_seconds
         if response.close:
             conn.close_after_write = True
-        self._write_response(conn, response, now)
+        self._write_response(conn, response)
 
     def _http_date(self, now_wall: float) -> bytes:
         second = int(now_wall)
@@ -991,8 +1112,7 @@ class EventLoopHTTPServer:
                 second, usegmt=True).encode("latin-1")
         return self._date_bytes
 
-    def _write_response(self, conn: _Connection, response: _Response,
-                        now: float) -> None:
+    def _write_response(self, conn: _Connection, response: _Response) -> None:
         if conn.closed:
             return
         parts: List[bytes] = [
@@ -1019,14 +1139,11 @@ class EventLoopHTTPServer:
         if response.body:
             conn.out.append(memoryview(response.body))
         conn.t_dispatched = 0.0
-        conn.last_activity = now
-        self._write_started(conn, now)
+        # Reused as write-start for the write-state timer.
+        conn.t_parsed = conn.last_activity = time.monotonic()
+        self._flush_out(conn)
 
-    def _write_started(self, conn: _Connection, now: float) -> None:
-        conn.t_parsed = now  # reuse as write-start for the write-state timer
-        self._flush_out(conn, now)
-
-    def _flush_out(self, conn: _Connection, now: float) -> None:
+    def _flush_out(self, conn: _Connection) -> None:
         if conn.closed:
             return
         sock = conn.sock
@@ -1059,11 +1176,12 @@ class EventLoopHTTPServer:
             return
         if conn.want_write:
             conn.want_write = False
-        self._response_written(conn, now)
+        self._response_written(conn)
 
-    def _response_written(self, conn: _Connection, now: float) -> None:
+    def _response_written(self, conn: _Connection) -> None:
+        now = time.monotonic()
         write_seconds = max(0.0, now - conn.t_parsed)
-        LOOP_STATE_SECONDS.observe(write_seconds, ("write",))
+        _STATE_WRITE.observe(write_seconds)
         trace = conn.trace
         trace_id = conn.trace_id
         if trace is not None:
@@ -1071,28 +1189,37 @@ class EventLoopHTTPServer:
             TRACER.close_request(trace)
             conn.trace = None
         elif trace_id is not None:
-            TRACER.attach_event(trace_id, "loop:write", write_seconds)
+            # An inline response: execute() retained its trace before the
+            # loop knew these, so they are attached to the retained tree.
+            events = [("loop:read", conn.read_seconds),
+                      ("loop:write", write_seconds)]
+            if conn.queue_seconds is not None:
+                events.insert(1, ("loop:queue", conn.queue_seconds))
+            TRACER.annotate(trace_id, events, lane=conn.lane)
         if conn.routed_request is not None:
             # Routed reads never pass through execute(): feed the slow-query
             # log here with the full queue + worker + write duration.
             request = conn.routed_request
             conn.routed_request = None
-            self.service.record_routed_slow(
+            self.service.record_slow(
                 conn.op, max(0.0, now - conn.routed_started),
-                request=request, plan=request.get("plan"),
-                trace_id=trace_id)
+                request, request.get("plan"), trace_id)
         if conn.close_after_write:
             self._close_connection(conn)
             return
-        LOOP_EVENTS.inc(("keepalive",))
+        _EVENT_KEEPALIVE.inc()
         conn.reset_request()
-        if not conn.reading:
-            conn.reading = True
+        conn.reading = True
         self._set_interest(conn)
         if conn.buffer:
-            # Pipelined request already buffered: parse it immediately.
+            # A pipelined request is already buffered.  Whoever is pumping
+            # this connection parses it next; if nobody is (the response
+            # came from a worker, the executor or a slow write), queue it —
+            # never recurse, a long pipeline would exhaust the stack.
             conn.request_started = now
-            self._advance(conn, now)
+            if not conn.queued:
+                conn.queued = True
+                self._ready.append(conn)
 
     # ------------------------------------------------------------------
     # Heartbeat: timeouts, gauges, channel health

@@ -6,12 +6,15 @@ handled on its own thread, and the service's plans are immutable after
 preparation, so concurrent requests against one plan need no locking.
 
 With a worker pool attached (``repro serve --workers N``), routable read ops
-on published plans short-circuit through
+on published plans that ask for more than ``LOOP_LANE_MAX_ANSWERS`` answers
+(the *worker* lane of :func:`repro.service.dispatch.choose_lane`)
+short-circuit through
 :meth:`~repro.service.service.QueryService.dispatch_raw`: the picked worker
 process answers from its attached shared-memory image and returns pre-encoded
 JSON bytes, which the connection thread writes verbatim — the master's
-interpreter never touches the answer payload.  Everything else (and every
-request the pool declines) runs inline exactly as without a pool.
+interpreter never touches the answer payload.  Everything else — smaller
+reads, which finish before a worker could have been woken, and every request
+the pool declines — runs inline exactly as without a pool.
 
 Endpoints (all JSON):
 
@@ -72,7 +75,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.obs import HTTP_ERRORS, METRICS
+from repro.obs import HTTP_ERRORS, LANE_COUNTERS, METRICS
+from repro.service.dispatch import choose_lane
 from repro.service.protocol import STATUS_BY_CODE, error_response
 from repro.service.service import QueryService
 
@@ -282,8 +286,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _dispatch(self, request: Mapping) -> None:
+        # The event loop's lane rule (repro.service.dispatch.choose_lane);
+        # here "loop" and "executor" both mean this handler thread, so the
+        # rule only keeps a small read from paying the worker hop.
         service = self.server.service
-        routed = service.dispatch_raw(request)
+        _plan, reader, published = service.pinned(request)
+        lane = choose_lane(request, reader, published)
+        LANE_COUNTERS[lane].inc()
+        routed = service.dispatch_raw(request) if lane == "worker" else None
         if routed is not None:
             status, body, trace_id = routed
             if status >= 400:
@@ -291,7 +301,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 HTTP_ERRORS.inc((op if isinstance(op, str) else "invalid", str(status)))
             self._respond_bytes(status, body, trace_id=trace_id)
             return
-        response = service.execute(request)
+        response = service.execute(request, reader if lane == "loop" else None)
         if response.get("ok"):
             self._respond(200, response)
         else:

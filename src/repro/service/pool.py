@@ -91,7 +91,7 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
         RESPONSE_HEADER,
         SPAN_DROPPED,
         encode_response,
-        execute_snapshot_op,
+        execute_read,
         recv_exact,
         span_limit_from_env,
     )
@@ -182,7 +182,7 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
             # and respawns cannot leak spans across requests.
             with TRACER.span("worker:serve", worker=wid, pid=pid, op=op) as root:
                 with TRACER.span("worker:execute"):
-                    response = execute_snapshot_op(entry.instance, fingerprint, request)
+                    response = execute_read(entry.instance, fingerprint, request)
                 with TRACER.span("worker:encode"):
                     status, body = encode_response(response)
             try:
@@ -197,7 +197,7 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
             else:
                 span_len = len(span_payload)
         else:
-            response = execute_snapshot_op(entry.instance, fingerprint, request)
+            response = execute_read(entry.instance, fingerprint, request)
             status, body = encode_response(response)
         seconds = time.perf_counter() - started
         # One vectored write per response: the pre-encoded body bytes go to

@@ -31,7 +31,13 @@ from repro.core.orders import LexOrder, Weights
 from repro.core.parser import parse_fds, parse_order, parse_query
 from repro.engine.database import Database
 from repro.engine.relation import Relation
-from repro.exceptions import ReproError
+from repro.engine.backends import BackendUnavailableError
+from repro.exceptions import (
+    IntractableQueryError,
+    NotAnAnswerError,
+    OutOfBoundsError,
+    ReproError,
+)
 from repro.fds.fd import FDSet
 
 #: Plan modes the service understands (see :class:`repro.service.QueryService`).
@@ -87,6 +93,26 @@ def error_response(code: str, message: str,
     if retry_after is not None:
         error["retry_after"] = round(float(retry_after), 3)
     return {"ok": False, "error": error}
+
+
+def error_for(exc: Exception) -> Dict[str, object]:
+    """The wire error for whatever serving a request raised — one mapping for
+    the master's ``execute`` and the pool workers, so no two serving paths
+    can report the same failure differently."""
+    if isinstance(exc, ServiceError):
+        return error_response(exc.code, str(exc), retry_after=exc.retry_after)
+    if isinstance(exc, OutOfBoundsError):
+        return error_response("out_of_bounds", str(exc))
+    if isinstance(exc, NotAnAnswerError):
+        # KeyError's str() quotes the message; unwrap the original text.
+        return error_response("not_an_answer", str(exc.args[0] if exc.args else exc))
+    if isinstance(exc, IntractableQueryError):
+        return error_response("intractable_query", str(exc))
+    if isinstance(exc, (BackendUnavailableError, ReproError)):
+        # BackendUnavailableError: a client-selected backend that doesn't
+        # exist / isn't installed.
+        return error_response("bad_request", str(exc))
+    return error_response("internal", f"{type(exc).__name__}: {exc}")
 
 
 # ----------------------------------------------------------------------

@@ -42,20 +42,16 @@ from repro.core.parser import parse_query
 from repro.core.selection_lex import selection_lex
 from repro.core.selection_sum import selection_sum
 from repro.core.sum_direct_access import SumDirectAccess
-from repro.engine.backends import BackendUnavailableError
 from repro.engine.database import Database
-from repro.exceptions import (
-    IntractableQueryError,
-    NotAnAnswerError,
-    OutOfBoundsError,
-    ReproError,
-)
+from repro.exceptions import OutOfBoundsError, ReproError
 from repro.live import CompactionPolicy, LiveDatabase, LiveInstance
 from repro.obs import (
     ANSWERS,
     DELTA_TUPLES,
     EPOCH_LAG,
+    LANE_COUNTERS,
     LIVE_EPOCH,
+    LOOP_LANES,
     METRICS,
     PLANS_CACHED,
     POOL_WORKERS,
@@ -67,7 +63,12 @@ from repro.obs import (
     describe_rank_span,
 )
 from repro.ranking.ranked_enumeration import SumRankedEnumerator
-from repro.service.dispatch import ROUTABLE_OPS
+from repro.service.dispatch import (
+    ROUTABLE_OPS,
+    rank_field,
+    read_op,
+    required,
+)
 from repro.service.gates import AdmissionGate, classify_build
 from repro.service.plan_cache import PlanCache
 from repro.service.protocol import (
@@ -78,10 +79,9 @@ from repro.service.protocol import (
     build_weights,
     canonical_fds,
     canonical_weights,
-    decode_answer,
     decode_rows,
     encode_answer,
-    error_response,
+    error_for,
 )
 
 
@@ -169,56 +169,63 @@ class PreparedPlan:
     @property
     def count(self) -> Optional[int]:
         """Number of answers, or ``None`` for enumeration plans (not counted)."""
-        if self.spec.mode == "enum":
-            return None
-        self._sync()
-        return self.engine.count
+        return None if self.spec.mode == "enum" else self.reader().count
 
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def _require_access(self) -> None:
+    def reader(self):
+        """The synced, single-epoch object behind every read op: a LEX
+        plan's current view (base facade or merged delta), a SUM engine."""
         if self.spec.mode == "enum":
             raise ServiceError(
                 "unsupported",
                 "enumeration plans only support 'topk'; prepare mode 'lex' or "
                 "'sum' for direct access",
             )
+        self._sync()
+        engine = self.engine
+        return engine.snapshot_view() if isinstance(engine, LiveInstance) else engine
+
+    def pinned_reader(self):
+        """:meth:`reader` without the sync: the object serving the *current*
+        live epoch, or ``None`` when the next read has to sync first (or the
+        plan is ``enum``).  No lock, no build — the event loop may call it —
+        and a read on the result answers at the epoch it was admitted at."""
+        live = self.live
+        if live is None or self.spec.mode == "enum":
+            return None
+        if isinstance(self.engine, LiveInstance):
+            snapshot = self.engine._snapshot  # immutable: view and epoch as one
+            return snapshot.view if snapshot.epoch == live.epoch else None
+        # `_sync` stores the engine before its epoch and `live.epoch` only
+        # grows, so epoch-then-engine can pair an engine with an epoch older
+        # than its own (and fail the check) but never with a newer one.
+        built_epoch = self._built_epoch
+        engine = self.engine
+        return engine if built_epoch == live.epoch else None
 
     def access(self, k: int) -> Tuple:
-        self._require_access()
-        self._sync()
-        return self.engine.access(k)
+        return self.reader().access(k)
 
     def batch_access(self, ks: Sequence[int]) -> List[Tuple]:
-        self._require_access()
-        self._sync()
-        return self.engine.batch_access(ks)
+        return self.reader().batch_access(ks)
 
     def range(self, lo: int, hi: int) -> List[Tuple]:
-        self._require_access()
-        self._sync()
-        return self.engine.range_access(lo, hi)
+        return self.reader().range_access(lo, hi)
 
     def inverted_access(self, answer: Sequence) -> int:
-        self._require_access()
-        self._sync()
-        return self.engine.inverted_access(answer)
+        return self.reader().inverted_access(answer)
 
     def topk(self, k: int) -> List[Tuple]:
         """The first ``k`` answers in order (all answers when fewer exist)."""
         k = validate_rank(k)
         if k < 0:
             raise OutOfBoundsError(f"top-k size must be non-negative, got {k}")
-        self._sync()
-        # Capture one engine/view so `count` and the range read observe the
-        # same epoch — a concurrent mutation between the two would otherwise
-        # turn a valid request into an out-of-bounds error.
-        engine = self.engine
         if self.spec.mode != "enum":
-            if isinstance(engine, LiveInstance):
-                engine = engine.snapshot_view()
-            return engine.range_access(0, min(k, engine.count))
+            view = self.reader()
+            return view.range_access(0, min(k, view.count))
+        self._sync()
         with self._lock:
             while len(self._prefix) < k and not self._exhausted:
                 try:
@@ -346,45 +353,38 @@ class QueryService:
         if publisher is not None and old_epoch != new_epoch:
             publisher.retire(old_epoch)
 
-    def routable_plan(self, request: Mapping):
-        """The cached plan a request may route to a pool worker, or ``None``.
-
-        Pure state checks, no I/O — callable from the event loop's single
-        thread.  A request routes only when every bit-identity precondition
-        holds: the op is routable, the plan is already cached with a
-        published image, its live view *is* the published base (no merged
-        deltas pending), and no unobserved mutations are queued — otherwise
-        the master's merged-delta path answers, so responses stay identical
-        mid-mutation and mid-swap.
-        """
-        pool = self._pool
-        if pool is None or not pool.running or not isinstance(request, Mapping):
-            return None
-        op = request.get("op")
-        if op not in ROUTABLE_OPS:
-            return None
-        fingerprint = request.get("plan")
+    def cached_plan(self, request: Mapping) -> Optional[PreparedPlan]:
+        """The already-cached plan a request names by fingerprint, or ``None``
+        — state checks only, no build.  A hit refreshes the recency of plan
+        and fingerprint like :meth:`resolve` does, or hot plans served
+        without resolving would age out."""
+        fingerprint = request.get("plan") if isinstance(request, Mapping) else None
         if not isinstance(fingerprint, str):
             return None
         with self._lock:
-            spec = self._specs.get(fingerprint)
-            generation = self._generations.get(spec.database) if spec is not None else None
-        if spec is None or generation is None:
+            spec = self._specs.pop(fingerprint, None)
+            if spec is None:
+                return None
+            self._specs[fingerprint] = spec
+            generation = self._generations.get(spec.database)
+        if generation is None:
             return None
-        # `get` (not `peek`): routed traffic must refresh LRU recency exactly
-        # like inline traffic, or hot plans served by workers would age out.
-        plan = self._cache.get((spec.database, generation, fingerprint))
-        if plan is None:
-            return None
-        engine = plan.engine
-        if not isinstance(engine, LiveInstance) or engine._publisher is None:
-            return None
-        snapshot = engine._snapshot
-        if snapshot.view is not snapshot.base:
-            return None  # merged deltas pending: master serves until compaction
-        if snapshot.epoch != engine.live.epoch:
-            return None  # unobserved mutations: syncing may grow a delta view
-        return plan
+        return self._cache.get((spec.database, generation, fingerprint))
+
+    def pinned(self, request: Mapping) -> Tuple[Optional[PreparedPlan], object, bool]:
+        """``(cached plan, pinned reader, published)`` — what a front-end's
+        lane choice (:func:`~repro.service.dispatch.choose_lane`) needs, and
+        on the loop lane the reader :meth:`execute` takes.  ``published``: the
+        reader *is* the base image a running pool's workers attach (no merged
+        delta pending).  No I/O, no build, no sync: safe on the event loop."""
+        plan = self.cached_plan(request)
+        reader = plan.pinned_reader() if plan is not None else None
+        pool = self._pool
+        published = (reader is not None and pool is not None and pool.running
+                     and isinstance(plan.engine, LiveInstance)
+                     and plan.engine._publisher is not None
+                     and reader is plan.engine._snapshot.base)
+        return plan, reader, published
 
     def note_routed(self, op: str, status: int, seconds: float) -> None:
         """Observe a routed request in the master's request metrics too, so
@@ -397,8 +397,12 @@ class QueryService:
         """Try to serve a request on a pool worker.
 
         Returns ``(status, pre-encoded body bytes, trace id | None)`` or
-        ``None`` — the latter means "serve inline", not an error (see
-        :meth:`routable_plan` for the preconditions).
+        ``None`` — the latter means "serve inline", not an error.  A request
+        routes only when every bit-identity precondition holds: the op is
+        routable and the plan's current view *is* its published base (no
+        merged delta pending, no unobserved mutation) — otherwise the master
+        answers, so responses stay identical mid-mutation and mid-swap.  Size
+        plays no part here; it is the front-end's lane choice.
 
         Routed requests bypass :meth:`execute`, so this is their
         observability middleware: a request trace is opened here, its id
@@ -408,11 +412,12 @@ class QueryService:
         HTTP front-end exposes it as an ``X-Repro-Trace`` header) because
         the response body must stay bit-identical to the worker's encoding.
         """
-        plan = self.routable_plan(request)
-        if plan is None:
-            return None
         pool = self._pool
-        if pool is None or not pool.running:
+        if (pool is None or not isinstance(request, Mapping)
+                or request.get("op") not in ROUTABLE_OPS):
+            return None
+        plan, _reader, published = self.pinned(request)
+        if not published:
             return None
         pool.ensure_export(plan)
         op = request.get("op")
@@ -426,8 +431,7 @@ class QueryService:
             # Inline fallback: the open trace is simply dropped, never
             # retained — execute() will trace the inline serve itself.
             return None
-        status, body = result[0], result[1]
-        span = result[2] if len(result) > 2 else None
+        status, body, span = result
         if trace is not None:
             if span is not None:
                 trace.add_span(span)
@@ -436,17 +440,14 @@ class QueryService:
             trace.set_status(status)
         TRACER.close_request(trace)
         self.note_routed(op, status, seconds)
-        self.record_routed_slow(op, seconds, request=request,
-                                plan=request.get("plan"), trace_id=trace_id)
+        self.record_slow(op, seconds, request, request.get("plan"), trace_id)
         return status, body, trace_id
 
-    def record_routed_slow(self, op: str, seconds: float, *,
-                           request: Optional[Mapping] = None,
-                           plan: Optional[str] = None,
-                           trace_id: Optional[str] = None) -> None:
-        """Slow-query accounting for routed reads (they bypass the
-        :meth:`execute` middleware).  Shared by both serve paths; the cheap
-        threshold check gates the argument marshalling."""
+    def record_slow(self, op: str, seconds: float, request: Optional[Mapping],
+                    plan: Optional[str], trace_id: Optional[str]) -> None:
+        """Slow-query accounting, shared by :meth:`execute` and the routed
+        reads that bypass it (both front-ends).  The cheap threshold check
+        gates the argument marshalling (rank-span string, db lookup)."""
         if seconds < self.slow_log.threshold_seconds:
             return
         database = None
@@ -870,6 +871,7 @@ class QueryService:
             "cache": self._cache.stats.to_dict(),
             "gate": self.gate.stats(),
             "ops": ops,
+            "lanes": {lane: LOOP_LANES.value((lane,)) for lane in LANE_COUNTERS},
         }
         if pool is not None:
             result["pool"] = pool.stats()
@@ -878,7 +880,7 @@ class QueryService:
     # ------------------------------------------------------------------
     # The request interface (shared by HTTP front-end and `repro client`)
     # ------------------------------------------------------------------
-    def execute(self, request: Mapping) -> Dict[str, object]:
+    def execute(self, request: Mapping, reader=None) -> Dict[str, object]:
         """Serve one protocol request object; never raises.
 
         Returns ``{"ok": true, ...result fields...}`` or ``{"ok": false,
@@ -891,12 +893,15 @@ class QueryService:
         responses), the per-op request counter and latency histogram, and the
         slow-query log.  With observability disabled the overhead is a pair
         of clock reads and attribute checks.
+
+        ``reader`` is the loop lane's pinned reader (:meth:`pinned`): the read
+        runs against it instead of resolving and syncing the plan.
         """
         op = request.get("op") if isinstance(request, Mapping) else None
         op_label = op if isinstance(op, str) and op in self._HANDLERS else "invalid"
         started = time.perf_counter()
         with TRACER.request(self._TRACE_NAMES[op_label]) as trace:
-            response = self._execute_inner(request)
+            response = self._execute_inner(request, reader)
         seconds = time.perf_counter() - started
         if response.get("ok"):
             status = "ok"
@@ -910,21 +915,10 @@ class QueryService:
         trace_id = trace.trace_id if trace is not None else None
         if trace_id is not None:
             response["trace"] = trace_id
-        if seconds >= self.slow_log.threshold_seconds and isinstance(request, Mapping):
-            # The argument marshalling (rank-span string, db lookup) only
-            # happens for requests that actually crossed the threshold.
-            database = request.get("db") or request.get("database")
-            self.slow_log.record(
-                op_label,
-                seconds,
-                plan=response.get("plan"),
-                rank_span=describe_rank_span(request),
-                trace_id=trace_id,
-                database=database if isinstance(database, str) else None,
-            )
+        self.record_slow(op_label, seconds, request, response.get("plan"), trace_id)
         return response
 
-    def _execute_inner(self, request: Mapping) -> Dict[str, object]:
+    def _execute_inner(self, request: Mapping, reader=None) -> Dict[str, object]:
         try:
             if not isinstance(request, Mapping):
                 raise ServiceError("bad_request", "request must be a JSON object")
@@ -934,27 +928,13 @@ class QueryService:
                 known = ", ".join(sorted(self._HANDLERS))
                 raise ServiceError("bad_request", f"unknown op {op!r}; expected one of: {known}")
             self._count_op(op)
-            result = handler(self, request)
+            result = (handler(self, request) if reader is None
+                      else self._op_read(request, reader))
             response = {"ok": True, "op": op}
             response.update(result)
             return response
-        except ServiceError as exc:
-            return error_response(exc.code, str(exc), retry_after=exc.retry_after)
-        except OutOfBoundsError as exc:
-            return error_response("out_of_bounds", str(exc))
-        except NotAnAnswerError as exc:
-            # KeyError's str() quotes the message; unwrap the original text.
-            message = exc.args[0] if exc.args else str(exc)
-            return error_response("not_an_answer", str(message))
-        except IntractableQueryError as exc:
-            return error_response("intractable_query", str(exc))
-        except BackendUnavailableError as exc:
-            # Client-selected backend that doesn't exist / isn't installed.
-            return error_response("bad_request", str(exc))
-        except ReproError as exc:
-            return error_response("bad_request", str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            return error_response("internal", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:
+            return error_for(exc)
 
     # -- op handlers ---------------------------------------------------
     def _op_prepare(self, request: Mapping) -> Dict[str, object]:
@@ -964,58 +944,24 @@ class QueryService:
             result["epoch"] = plan.epoch
         return result
 
-    def _op_access(self, request: Mapping) -> Dict[str, object]:
-        plan = self.resolve(request)
-        k = _rank_field(request, "k")
-        return {"plan": plan.fingerprint, "k": k, "answer": encode_answer(plan.access(k))}
-
-    def _op_batch_access(self, request: Mapping) -> Dict[str, object]:
-        plan = self.resolve(request)
-        ks = _required(request, "ks")
-        if not isinstance(ks, (list, tuple)):
-            raise ServiceError("bad_request", "'ks' must be an array of ranks")
-        try:
-            # Validate client ranks here, scoped, so only *their* TypeError
-            # becomes bad_request — an internal engine TypeError must still
-            # surface as a 500.  The engine re-validates (cheap next to the
-            # JSON parse of the same array); that redundancy is deliberate.
-            ks = [validate_rank(k) for k in ks]
-        except TypeError as exc:
-            raise ServiceError("bad_request", str(exc)) from None
-        answers = plan.batch_access(ks)
-        ANSWERS.inc(("batch_access",), len(answers))
-        return {"plan": plan.fingerprint, "answers": [encode_answer(a) for a in answers]}
-
-    def _op_range(self, request: Mapping) -> Dict[str, object]:
-        plan = self.resolve(request)
-        lo = _rank_field(request, "lo")
-        hi = _rank_field(request, "hi")
-        answers = plan.range(lo, hi)
-        ANSWERS.inc(("range",), len(answers))
-        return {
-            "plan": plan.fingerprint,
-            "lo": lo,
-            "hi": hi,
-            "answers": [encode_answer(a) for a in answers],
-        }
-
-    def _op_inverted_access(self, request: Mapping) -> Dict[str, object]:
-        plan = self.resolve(request)
-        answer = decode_answer(_required(request, "answer"))
-        return {"plan": plan.fingerprint, "k": plan.inverted_access(answer)}
-
-    def _op_topk(self, request: Mapping) -> Dict[str, object]:
-        plan = self.resolve(request)
-        k = _rank_field(request, "k")
-        answers = plan.topk(k)
-        ANSWERS.inc(("topk",), len(answers))
-        return {"plan": plan.fingerprint, "answers": [encode_answer(a) for a in answers]}
-
-    def _op_count(self, request: Mapping) -> Dict[str, object]:
-        plan = self.resolve(request)
-        if plan.count is None:
-            raise ServiceError("unsupported", "enumeration plans do not precount answers")
-        return {"plan": plan.fingerprint, "count": plan.count}
+    def _op_read(self, request: Mapping, reader=None) -> Dict[str, object]:
+        """The six read ops: :func:`~repro.service.dispatch.read_op` against
+        the plan's synced reader — or the one the loop lane pinned."""
+        op = request["op"]
+        if reader is not None:
+            result = read_op(reader, request["plan"], request)
+        else:
+            plan = self.resolve(request)
+            if op == "topk" and plan.spec.mode == "enum":
+                answers = plan.topk(rank_field(request, "k"))
+                result = {"plan": plan.fingerprint,
+                          "answers": [encode_answer(a) for a in answers]}
+            else:
+                result = read_op(plan.reader(), plan.fingerprint, request)
+        answers = result.get("answers")
+        if answers is not None:
+            ANSWERS.inc((op,), len(answers))
+        return result
 
     @staticmethod
     def _database_name(request: Mapping, context: str) -> str:
@@ -1030,7 +976,7 @@ class QueryService:
         query = request.get("query")
         if not isinstance(query, str):
             raise ServiceError("bad_request", "selection needs a 'query' string")
-        k = _rank_field(request, "k")
+        k = rank_field(request, "k")
         answer = self.selection(
             database,
             query,
@@ -1264,12 +1210,12 @@ class QueryService:
 
     def _op_insert(self, request: Mapping) -> Dict[str, object]:
         database, relation = self._mutation_target(request)
-        rows = decode_rows(_required(request, "rows"))
+        rows = decode_rows(required(request, "rows"))
         return self.insert(database, relation, rows)
 
     def _op_delete(self, request: Mapping) -> Dict[str, object]:
         database, relation = self._mutation_target(request)
-        rows = decode_rows(_required(request, "rows"))
+        rows = decode_rows(required(request, "rows"))
         return self.delete(database, relation, rows)
 
     def _op_compact(self, request: Mapping) -> Dict[str, object]:
@@ -1290,12 +1236,12 @@ class QueryService:
 
     _HANDLERS: Dict[str, Callable[["QueryService", Mapping], Dict[str, object]]] = {
         "prepare": _op_prepare,
-        "access": _op_access,
-        "batch_access": _op_batch_access,
-        "range": _op_range,
-        "inverted_access": _op_inverted_access,
-        "topk": _op_topk,
-        "count": _op_count,
+        "access": _op_read,
+        "batch_access": _op_read,
+        "range": _op_read,
+        "inverted_access": _op_read,
+        "topk": _op_read,
+        "count": _op_read,
         "selection": _op_selection,
         "explain": _op_explain,
         "stats": _op_stats,
@@ -1315,26 +1261,6 @@ class QueryService:
     _TRACE_NAMES: Dict[str, str] = {
         op: "op:" + op for op in list(_HANDLERS) + ["invalid"]
     }
-
-
-def _required(request: Mapping, field: str):
-    if field not in request:
-        raise ServiceError("bad_request", f"request is missing the {field!r} field")
-    return request[field]
-
-
-def _rank_field(request: Mapping, field: str) -> int:
-    """A required rank field, with type errors mapped to ``bad_request``.
-
-    Client-supplied ranks are validated here at the protocol boundary so the
-    engines' ``TypeError`` never has to be caught wholesale in ``execute`` —
-    a blanket TypeError handler would misreport genuine server bugs as
-    client errors.
-    """
-    try:
-        return validate_rank(_required(request, field))
-    except TypeError as exc:
-        raise ServiceError("bad_request", str(exc)) from None
 
 
 def run_requests(service: QueryService, requests) -> List[Dict[str, object]]:

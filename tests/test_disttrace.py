@@ -21,6 +21,7 @@ import pytest
 from repro import Database, Relation
 from repro.obs import METRICS, TRACER, obs_enabled, set_enabled
 from repro.service import HTTPSession, QueryService, WorkerPool, make_server
+from repro.service.dispatch import LOOP_LANE_MAX_ANSWERS
 from repro.service.pool import pool_supported
 
 QUERY_TEXT = "Q(x, y, z) :- R(x, y), S(y, z)"
@@ -226,6 +227,9 @@ class TestTracedUntracedIdentity:
             {"op": "access", "plan": fingerprint, "k": count},  # out of bounds
             {"op": "batch_access", "plan": fingerprint,
              "ks": list(range(count))},
+            # One rank over the loop lane's threshold: the worker-served one.
+            {"op": "batch_access", "plan": fingerprint,
+             "ks": [k % count for k in range(LOOP_LANE_MAX_ANSWERS + 1)]},
             {"op": "range", "plan": fingerprint, "lo": 0, "hi": count},
             {"op": "count", "plan": fingerprint},
             {"op": "inverted_access", "plan": fingerprint, "t": [1, 2, 5]},
@@ -253,13 +257,17 @@ class TestTracedUntracedIdentity:
                 requests = self._read_requests(plan.fingerprint, plan.count)
                 host, port = server.server_address[:2]
                 with HTTPSession(f"http://{host}:{port}") as session:
-                    # Warm the route so both passes exercise the worker path.
+                    # Warm the route so both passes exercise the worker path
+                    # (a routed body carries its trace id in the header only).
                     deadline = time.monotonic() + 5.0
                     while time.monotonic() < deadline:
-                        session.post_json("/v1/query", requests[0])
-                        if session.last_headers.get("x-repro-trace"):
+                        _status, document = session.post_json(
+                            "/v1/query", requests[4])
+                        if "trace" not in document:
                             break
                         time.sleep(0.05)
+                    else:
+                        pytest.fail("no request ever routed to a worker")
                     streams = {}
                     for flag in (False, True):
                         set_enabled(flag)

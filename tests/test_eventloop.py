@@ -17,7 +17,9 @@ import time
 import pytest
 
 from repro import Database, Relation
+from repro.obs import LOOP_EVENTS
 from repro.service import HTTPSession, QueryService, make_server
+from repro.service.dispatch import LOOP_LANE_MAX_ANSWERS
 from repro.service.pool import WorkerPool, pool_supported
 
 QUERY_TEXT = "Q(x, y, z) :- R(x, y), S(y, z)"
@@ -117,6 +119,36 @@ def read_full_response(sock):
     return status, headers, json.loads(body) if body else None
 
 
+def read_responses(sock, count):
+    """``count`` pipelined responses off one socket: (status, document) each.
+
+    One buffered reader for the whole sequence — :func:`read_response`
+    detaches its reader per call and would drop what it had read ahead.
+    """
+    reader = sock.makefile("rb")
+    try:
+        for _ in range(count):
+            status_line = reader.readline()
+            if not status_line:
+                return
+            length = 0
+            while True:
+                line = reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            yield int(status_line.split()[1]), json.loads(reader.read(length))
+    finally:
+        reader.detach()
+
+
+def over_threshold_ranks(count):
+    """One more rank than the loop lane takes: the request a worker serves."""
+    return [k % count for k in range(LOOP_LANE_MAX_ANSWERS + 1)]
+
+
 # ----------------------------------------------------------------------
 # Endpoint parity and identity with the threaded front-end
 # ----------------------------------------------------------------------
@@ -210,12 +242,98 @@ class TestKeepAlive:
         sock = connect(server)
         try:
             sock.sendall(first + second)
-            status, _headers, one = read_full_response(sock)
+            (status, one), (status_two, two) = read_responses(sock, 2)
             assert status == 200 and one["answer"] == [1, 2, 5]
-            status, _headers, two = read_full_response(sock)
-            assert status == 200 and two["answer"] == [1, 5, 4]
+            assert status_two == 200 and two["answer"] == [1, 5, 4]
         finally:
             sock.close()
+
+    @pytest.mark.parametrize("kind", ["loop-answered 404", "loop-lane access"])
+    def test_long_pipeline_is_drained_without_recursion(self, server, kind):
+        """2 000 pipelined requests on one connection (8 stack frames each
+        when they were drained by recursion: the loop died after 124) are
+        all answered, in order, while a second connection keeps being
+        served; the server still accepts afterwards."""
+        total = 2000
+        with HTTPSession(base_url(server)) as session:
+            _status, prepared = session.post_json("/v1/prepare", {
+                "db": "demo", "query": QUERY_TEXT, "order": "x, y, z"})
+            count = prepared["count"]
+            expected = [
+                session.post_json(
+                    "/v1/access", {"plan": prepared["plan"], "k": k})[1]["answer"]
+                for k in range(count)
+            ]
+            if kind == "loop-answered 404":
+                payload = b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n" * total
+            else:
+                payload = b"".join(
+                    raw_post("/v1/access", {"plan": prepared["plan"], "k": k % count})
+                    for k in range(total))
+            sock = connect(server, timeout=20.0)
+            sender = threading.Thread(target=sock.sendall, args=(payload,))
+            sender.start()
+            try:
+                neighbour_rounds = 0
+                for index, (status, document) in enumerate(
+                        read_responses(sock, total)):
+                    if kind == "loop-answered 404":
+                        assert status == 404
+                    else:
+                        assert status == 200
+                        assert document["answer"] == expected[index % count]
+                    if index % 250 == 0:
+                        assert session.get_json("/healthz")[0] == 200
+                        neighbour_rounds += 1
+                assert index == total - 1
+                assert neighbour_rounds == total // 250
+            finally:
+                sender.join(timeout=20)
+                sock.close()
+            assert not sender.is_alive()
+        with HTTPSession(base_url(server)) as session:  # still accepting
+            assert session.get_json("/healthz")[0] == 200
+
+    def test_handler_exception_costs_one_connection_not_the_loop(
+            self, server, monkeypatch):
+        dispatch = server._dispatch
+
+        def failing(conn, body, now):
+            if conn.path == "/boom":
+                raise RuntimeError("injected handler failure")
+            dispatch(conn, body, now)
+
+        monkeypatch.setattr(server, "_dispatch", failing)
+        before = LOOP_EVENTS.value(("handler_error",))
+        with HTTPSession(base_url(server)) as neighbour:
+            assert neighbour.get_json("/healthz")[0] == 200
+            sock = connect(server)
+            try:
+                sock.sendall(b"GET /boom HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert read_response(sock)[0] is None  # closed, not answered
+            finally:
+                sock.close()
+            assert LOOP_EVENTS.value(("handler_error",)) == before + 1
+            assert server.inflight == 0
+            assert neighbour.get_json("/healthz")[0] == 200
+
+    def test_keepalive_rounds_never_rearm_the_selector(self, server, monkeypatch):
+        """With no backpressure the registered mask never changes, so 100
+        request/response rounds make no ``selector.modify`` (``epoll_ctl``)."""
+        with HTTPSession(base_url(server)) as session:
+            _status, prepared = session.post_json("/v1/prepare", {
+                "db": "demo", "query": QUERY_TEXT, "order": "x, y, z"})
+            modify = server._selector.modify
+            calls = []
+            monkeypatch.setattr(
+                server._selector, "modify",
+                lambda *args: (calls.append(args), modify(*args))[1])
+            for k in range(100):
+                status, _document = session.post_json(
+                    "/v1/access", {"plan": prepared["plan"], "k": k % 3})
+                assert status == 200
+            assert session.get_json("/healthz")[0] == 200  # executor lane too
+        assert calls == []
 
     def test_http_1_0_closes_after_response(self, server):
         sock = connect(server)
@@ -375,17 +493,20 @@ class TestWithWorkers:
     def _await_routed(self, session, fingerprint, tries=50):
         """Spin until a request actually routes (export is asynchronous).
 
-        Returns ``(document, trace_header)`` of the routed response — routed
-        bodies pass through the loop untouched, so their trace id only
-        exists in the ``X-Repro-Trace`` header.
+        The request is a ``batch_access`` one rank over the loop lane's
+        threshold — a smaller read never reaches a worker.  Returns
+        ``(document, trace_header)`` of the routed response — routed bodies
+        pass through the loop untouched, so their trace id only exists in
+        the ``X-Repro-Trace`` header (an inline body embeds ``trace``).
         """
         for _ in range(tries):
             status, document = session.post_json("/v1/query", {
-                "op": "access", "plan": fingerprint, "k": 0,
+                "op": "batch_access", "plan": fingerprint,
+                "ks": over_threshold_ranks(3),
             })
             assert status == 200 and document["ok"]
             trace_header = session.last_headers.get("x-repro-trace")
-            if trace_header:
+            if trace_header and "trace" not in document:
                 return document, trace_header
             time.sleep(0.05)
         pytest.fail("no request ever routed to a worker")
@@ -395,15 +516,36 @@ class TestWithWorkers:
             with HTTPSession(base_url(server)) as session:
                 fingerprint = self._prepare(session)
                 document, trace_id = self._await_routed(session, fingerprint)
-                assert document["answer"] == [1, 2, 5]
-                status, traced = session.post_json("/v1/query", {
-                    "op": "trace", "id": trace_id,
-                })
-                assert status == 200
-                text = json.dumps(traced["traced"])
-                for span in ("loop:read", "loop:queue", "worker:serve",
-                             "loop:write"):
-                    assert span in text, f"missing {span} in {text}"
+                assert document["answers"][:3] == [[1, 2, 5], [1, 5, 3], [1, 5, 4]]
+                assert self._trace_shape(session, trace_id) == (
+                    "worker", ["loop:read", "loop:queue", "worker:serve",
+                               "loop:write"])
+
+    @staticmethod
+    def _trace_shape(session, trace_id):
+        status, traced = session.post_json("/v1/query", {
+            "op": "trace", "id": trace_id})
+        assert status == 200
+        root = traced["traced"]["root"]
+        return root["attrs"].get("lane"), [
+            child["name"] for child in root.get("children", ())
+            if child["name"].startswith(("loop:", "worker:serve"))]
+
+    def test_inline_traces_name_their_lane_and_loop_spans(self, pooled_service):
+        """The loop attaches what it measured to an inline response's trace
+        (it used to leave every inline trace a bare root)."""
+        with running_server(pooled_service) as server:
+            with HTTPSession(base_url(server)) as session:
+                fingerprint = self._prepare(session)
+                _status, document = session.post_json(
+                    "/v1/access", {"plan": fingerprint, "k": 0})
+                assert self._trace_shape(session, document["trace"]) == (
+                    "loop", ["loop:read", "loop:write"])
+                # An inline spec may have to build: never the loop lane.
+                _status, document = session.post_json("/v1/access", {
+                    "db": "demo", "query": QUERY_TEXT, "order": "x, y, z", "k": 0})
+                assert self._trace_shape(session, document["trace"]) == (
+                    "executor", ["loop:read", "loop:queue", "loop:write"])
 
     def test_disconnect_with_worker_response_in_flight(self, pooled_service):
         with running_server(pooled_service) as server:
@@ -411,10 +553,11 @@ class TestWithWorkers:
                 fingerprint = self._prepare(session)
                 self._await_routed(session, fingerprint)
                 baseline = _fd_count() if os.path.isdir("/proc/self/fd") else None
-                for k in range(10):
+                for _ in range(10):
                     sock = connect(server)
                     sock.sendall(raw_post("/v1/query", {
-                        "op": "access", "plan": fingerprint, "k": k % 3,
+                        "op": "batch_access", "plan": fingerprint,
+                        "ks": over_threshold_ranks(3),
                     }))
                     sock.close()  # gone before the worker frame returns
                 deadline = time.monotonic() + 5.0

@@ -158,6 +158,26 @@ class TestRegistry:
         registry.reset()
         assert counter.value(("a",)) == 0
 
+    def test_bound_children_feed_the_family_they_came_from(self, registry):
+        counter = registry.counter("c_total", "help", ("lane",))
+        histogram = registry.histogram("h_seconds", "help", ("state",))
+        bound_counter = counter.bind(("loop",))
+        bound_histogram = histogram.bind(("write",))
+        bound_counter.inc()
+        counter.inc(("loop",), 2)
+        bound_histogram.observe(0.002)
+        assert counter.value(("loop",)) == 3
+        assert histogram.count(("write",)) == 1
+        registry.reset()  # bound children survive a clear...
+        bound_counter.inc(5)
+        assert counter.value(("loop",)) == 5
+        registry.disable()  # ...and respect the switch
+        bound_counter.inc()
+        bound_histogram.observe(1.0)
+        assert counter.value(("loop",)) == 5 and histogram.count(("write",)) == 0
+        with pytest.raises(ValueError):
+            counter.bind(("loop", "extra"))
+
     def test_non_string_labels_are_stringified(self, registry):
         counter = registry.counter("s_total", "s", labelnames=("code",))
         counter.inc((404,))

@@ -26,7 +26,7 @@ from repro.service import (
     make_server,
     pool_supported,
 )
-from repro.service.dispatch import ROUTABLE_OPS
+from repro.service.dispatch import LOOP_LANE_MAX_ANSWERS, ROUTABLE_OPS
 
 if not pool_supported():
     pytest.skip("worker pool needs NumPy + shared memory", allow_module_level=True)
@@ -276,11 +276,15 @@ class TestHTTPFrontend:
 
     def test_metrics_exposition_includes_worker_series(self, server, pooled):
         plan = pooled.prepare("demo", QUERY_TEXT, order="x, y, z")
+        # One rank over the loop lane's threshold: a smaller read is answered
+        # by the handler thread and never reaches a worker.
+        ks = [k % plan.count for k in range(LOOP_LANE_MAX_ANSWERS + 1)]
         self.post(server, "/v1/query",
-                  {"op": "access", "plan": plan.fingerprint, "k": 0})
+                  {"op": "batch_access", "plan": plan.fingerprint, "ks": ks})
         with urllib.request.urlopen(self.url(server, "/metrics"), timeout=5) as r:
             text = r.read().decode()
-        assert "repro_pool_worker_requests_total" in text
+        assert 'repro_pool_worker_requests_total{worker="' in text
+        assert 'op="batch_access",status="ok"' in text
         assert "repro_pool_workers" in text
 
     def test_drain_waits_for_inflight(self, server):
