@@ -62,6 +62,14 @@ def validate_rank(k) -> int:
         ) from None
 
 
+def plain_ints(ks) -> bool:
+    """Whether ``ks`` is a ``list`` of exact ``int`` objects — ranks that need no
+    per-element coercion (``bool`` is not ``int`` here).  One C-speed pass; the
+    service's ``read_op`` and :func:`validate_ranks` share it, so a JSON array
+    of ranks is type-checked without a Python-level loop."""
+    return type(ks) is list and set(map(type, ks)) <= {int}
+
+
 def validate_ranks(ks: Sequence[int], count: int) -> Sequence[int]:
     """Validate a whole batch of ranks against ``count`` before serving any.
 
@@ -70,8 +78,9 @@ def validate_ranks(ks: Sequence[int], count: int) -> Sequence[int]:
     and the answer count.  A ``range`` input is validated by its endpoints
     alone (its elements are ints by construction), so validating a large
     contiguous batch costs O(1) instead of O(m).  A NumPy integer array is
-    validated vectorized — a dtype check plus one min/max bounds check —
-    and returned as-is, so large batches skip the O(m) Python coercion.
+    validated by its dtype and a list of plain ints (:func:`plain_ints`) as
+    it is; both are returned uncopied.  Bounds are one ``min``/``max`` — the
+    element scan that names the first offending rank runs only on failure.
     """
     if isinstance(ks, range):
         if len(ks) == 0:
@@ -87,20 +96,19 @@ def validate_ranks(ks: Sequence[int], count: int) -> Sequence[int]:
             raise TypeError(
                 f"answer rank must be an integer, not {ks.dtype.name}"
             )
-        if ks.size:
-            low = int(ks.min())
-            high = int(ks.max())
-            for k in (low, high):
-                if k < 0 or k >= count:
-                    raise OutOfBoundsError(
-                        f"index {k} is out of bounds for {count} answers"
-                    )
+        if ks.size and (int(ks.min()) < 0 or int(ks.max()) >= count):
+            _raise_first_out_of_bounds(ks.ravel().tolist(), count)
         return ks
-    ranks = [validate_rank(k) for k in ks]
+    ranks = ks if plain_ints(ks) else [validate_rank(k) for k in ks]
+    if ranks and (min(ranks) < 0 or max(ranks) >= count):
+        _raise_first_out_of_bounds(ranks, count)
+    return ranks
+
+
+def _raise_first_out_of_bounds(ranks: Sequence[int], count: int) -> None:
     for k in ranks:
         if k < 0 or k >= count:
             raise OutOfBoundsError(f"index {k} is out of bounds for {count} answers")
-    return ranks
 
 
 def validate_range(lo: int, hi: int, count: int) -> Tuple[int, int]:
@@ -388,7 +396,9 @@ class _BatchIndex:
     def gather(self, ranks: Sequence[int]) -> List[Tuple]:
         instance = self._instance
         m = len(ranks)
-        remaining = np.asarray(ranks, dtype=np.int64)
+        # A copy: the walk consumes ``remaining`` in place, and ``asarray``
+        # would alias (and zero) a caller's int64 array.
+        remaining = np.array(ranks, dtype=np.int64)
         factor = np.full(m, instance.count, dtype=np.int64)
         bucket_ids: Dict[int, np.ndarray] = {1: np.zeros(m, dtype=np.int64)}
         gathered: List[Tuple[Tuple[Tuple[int, int], ...], List[Tuple]]] = []

@@ -38,9 +38,23 @@ On top of the same arrays, :class:`FlatShard` is the *fused scalar kernel*:
 binary searches over precomputed per-bucket slices — no ``Bucket`` objects,
 no dict of current buckets, no per-answer assignment dict; head values are
 gathered by precomputed ``(head position, flat column)`` index pairs.  The
-batched ``gather`` reuses the segmented-searcher probe of the batch index.
-The object walk in :mod:`repro.core.access` remains the exact-int / no-NumPy
+object walk in :mod:`repro.core.access` remains the exact-int / no-NumPy
 fallback and is property-tested identical.
+
+Batched reads are one *monotone* walk (:meth:`SnapshotInstance.page` /
+``range_page``): the ranks are validated once, stable-argsorted once (a range
+is sorted already) and cut into per-shard slices by one ``searchsorted``
+against the offset table; :meth:`FlatShard.walk` then issues one
+segmented-searcher probe per layer over ascending ranks and records each head
+position once, at the first layer that binds it, as dictionary codes.  The
+result is an :class:`AnswerPage` — shard pieces plus the permutation — that
+stays columnar until someone needs rows: ``tuples()`` decodes each column by
+one fancy index into its value dictionary (the public ``batch_access`` /
+``range_access``), ``json_rows()`` by one fancy index into the dictionary's
+``json.dumps`` *fragments* and joins them with the encoder's own separators
+(a pool worker's response body).  Fragments are rendered per (layer, column)
+on first use, in the process that encodes — never at capture, publish or
+attach — and are not part of the image.
 
 Capture is a pure accelerator: any value the dictionary encoding cannot
 represent exactly (unhashable, or ``==``-equal to a distinguishable
@@ -149,7 +163,7 @@ class FlatLayer:
         "starts", "totals", "seg_offsets", "searcher",
         "child_ids", "codes", "domains", "head_cols", "value_head_position",
         "starts_seq", "totals_seq", "offsets_seq", "head_seq", "value_seq",
-        "children",
+        "children", "page_cols", "_fragments",
     )
 
     def __init__(
@@ -165,7 +179,7 @@ class FlatLayer:
         child_ids: Dict[int, "np.ndarray"],
         codes: List["np.ndarray"],
         domains: List["np.ndarray"],
-        head_cols: Tuple[Tuple[int, "np.ndarray", "np.ndarray"], ...],
+        head_cols: Tuple[Tuple[int, int], ...],
         value_head_position: int,
     ) -> None:
         self.index = index
@@ -179,8 +193,8 @@ class FlatLayer:
         self.child_ids = child_ids
         self.codes = codes
         self.domains = domains
-        #: (head position, codes, domain) per column — the precomputed
-        #: (position, flat column) gather index of the fused kernels.
+        #: (head position, layer column) per head variable of this layer —
+        #: the precomputed gather index of the fused kernels.
         self.head_cols = head_cols
         self.value_head_position = value_head_position
         # Scalar-kernel views (plain-int __getitem__, O(1) to create).
@@ -189,10 +203,40 @@ class FlatLayer:
         self.offsets_seq = _int_seq(seg_offsets)
         self.value_seq = _int_seq(codes[value_position])
         self.head_seq = tuple(
-            (position, _int_seq(column), domain)
-            for position, column, domain in head_cols
+            (position, _int_seq(codes[column]), domains[column])
+            for position, column in head_cols
         )
         self.children = ()  # (child index, ids seq, child totals seq); FlatShard fills
+        #: The ``head_cols`` no earlier layer binds (the join makes a later
+        #: layer's copy of a variable equal the first); FlatShard fills.
+        self.page_cols = head_cols
+        self._fragments: Dict[int, Optional["np.ndarray"]] = {}
+
+    def fragments(self, column: int) -> Optional["np.ndarray"]:
+        """``json.dumps`` of each domain value of ``column``, aligned with the
+        domain; ``None`` when some value is not JSON-representable.
+
+        Rendered on first use and cached here, i.e. in the process that
+        encodes pages (a pool worker) — never at capture, publish or attach,
+        and never part of the image.
+        """
+        try:
+            return self._fragments[column]
+        except KeyError:
+            pass
+        values = self.domains[column].tolist()
+        try:
+            if set(map(type, values)) <= {int}:
+                rendered = list(map(repr, values))  # what json writes for an int
+            else:
+                rendered = list(map(json.dumps, values))
+        except (TypeError, ValueError):
+            table = None
+        else:
+            table = np.empty(len(rendered), dtype=object)
+            table[:] = rendered
+        self._fragments[column] = table
+        return table
 
     def decode_value(self, position: int):
         """The layer-variable value of flat row ``position``."""
@@ -228,12 +272,18 @@ class FlatShard:
         self._ordered: Tuple[Tuple[int, FlatLayer], ...] = tuple(
             (i, layers[i]) for i in sorted(layers)
         )
-        # Resolve each layer's child hop once: (child, ids seq, totals seq).
+        # Resolve each layer's child hop once: (child, ids seq, totals seq),
+        # and which head positions it is the first to bind.
+        bound: set = set()
         for _, layer in self._ordered:
             layer.children = tuple(
                 (child, _int_seq(ids), layers[child].totals_seq)
                 for child, ids in sorted(layer.child_ids.items())
             )
+            layer.page_cols = tuple(
+                pair for pair in layer.head_cols if pair[0] not in bound
+            )
+            bound.update(position for position, _ in layer.head_cols)
         self.carrier = "memory"
         self.seconds = 0.0
 
@@ -345,24 +395,102 @@ class FlatShard:
         return k
 
     # -- batched gather (vectorized layer walk) -------------------------
-    def gather(self, ranks: Sequence[int]) -> List[Tuple]:
-        remaining = np.asarray(ranks, dtype=np.int64)
+    def walk(self, remaining: "np.ndarray") -> List[Tuple[FlatLayer, int, "np.ndarray"]]:
+        """Algorithm 1 for a whole batch: one segmented probe per layer.
+
+        ``remaining`` holds the shard-local ranks as an int64 array the walk
+        owns (it is consumed in place).  Returns, per head position, the
+        ``(layer, column, codes)`` of the first layer that binds it — the
+        answers stay dictionary-coded; :class:`AnswerPage` decodes them.
+        """
         m = len(remaining)
         factor = np.full(m, self.count, dtype=np.int64)
         segment_ids: Dict[int, np.ndarray] = {1: np.zeros(m, dtype=np.int64)}
-        out: List[Optional[np.ndarray]] = [None] * self.width
+        columns: List[Optional[Tuple[FlatLayer, int, np.ndarray]]] = [None] * self.width
         for index, layer in self._ordered:
             segment = segment_ids.pop(index)
             factor //= layer.totals[segment]
             chosen = layer.searcher.probe_flat(segment, remaining // factor)
             remaining -= layer.starts[chosen] * factor
-            for position, codes, domain in layer.head_cols:
-                out[position] = domain[codes[chosen]]
+            for position, column in layer.page_cols:
+                columns[position] = (layer, column, layer.codes[column][chosen])
             for child, ids in layer.child_ids.items():
                 child_segments = ids[chosen]
                 segment_ids[child] = child_segments
                 factor *= self.layers[child].totals[child_segments]
-        return list(zip(*out))
+        return columns  # type: ignore[return-value]
+
+    def gather(self, ranks: Sequence[int]) -> List[Tuple]:
+        """The answers at shard-local ``ranks`` (validated, non-empty), in the
+        given order.  The walk gets a copy: ``ranks`` may be a caller's array."""
+        remaining = np.array(ranks, dtype=np.int64)
+        return AnswerPage(self.width, [self.walk(remaining)]).tuples()
+
+
+class AnswerPage:
+    """A page of answers kept columnar and dictionary-coded.
+
+    ``pieces`` are :meth:`FlatShard.walk` results, one per touched shard in
+    rank order; ``order`` is the stable argsort that sorted the requested
+    ranks for the walk (``None`` when they were ascending already), so answer
+    ``i`` of the concatenated pieces is the answer to request ``order[i]``.
+    A page renders itself either as the public ``List[Tuple]``
+    (:meth:`tuples`) or as the text of the JSON rows (:meth:`json_rows`);
+    either way each column is decoded once, by one fancy index.
+    """
+
+    __slots__ = ("width", "pieces", "order", "encoder")
+
+    def __init__(self, width: int, pieces: List, order: Optional["np.ndarray"] = None) -> None:
+        self.width = width
+        self.pieces = pieces
+        self.order = order
+        #: Which encoder wrote this page's rows on the wire: ``"fragments"``
+        #: once :meth:`json_rows` succeeded, ``"json"`` otherwise.
+        self.encoder = "json"
+
+    def __len__(self) -> int:
+        return sum(len(piece[0][2]) for piece in self.pieces)
+
+    def _columns(self, table) -> Optional[List[List]]:
+        """Every head column, decoded through ``table(layer, column)`` (the
+        value domain or its JSON fragments) and put back in request order;
+        ``None`` when a table is missing."""
+        columns: List[List] = []
+        for position in range(self.width):
+            parts = []
+            for piece in self.pieces:
+                layer, column, codes = piece[position]
+                values = table(layer, column)
+                if values is None:
+                    return None
+                parts.append(values[codes])
+            decoded = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if self.order is not None:
+                placed = np.empty_like(decoded)
+                placed[self.order] = decoded
+                decoded = placed
+            columns.append(decoded.tolist())
+        return columns
+
+    def tuples(self) -> List[Tuple]:
+        if not self.pieces:
+            return []
+        return list(zip(*self._columns(lambda layer, column: layer.domains[column])))
+
+    def json_rows(self) -> Optional[str]:
+        """The rows as ``json.dumps`` writes a list of lists, without the
+        outer brackets: per-value fragments joined by the encoder's own
+        separators.  ``None`` when a value has no fragment (the caller
+        falls back to ``json.dumps`` of :meth:`tuples`)."""
+        rows = ""
+        if self.pieces:
+            columns = self._columns(FlatLayer.fragments)
+            if columns is None:
+                return None
+            rows = "[" + "], [".join(map(", ".join, zip(*columns))) + "]"
+        self.encoder = "fragments"
+        return rows
 
 
 # ----------------------------------------------------------------------
@@ -581,7 +709,7 @@ class InstanceSnapshot:
                     for child in schema["children"]
                 }
                 head_cols = tuple(
-                    (head_position[variable], codes[column], layer_domains[column])
+                    (head_position[variable], column)
                     for column, variable in enumerate(variables)
                     if variable in head_position
                 )
@@ -916,6 +1044,7 @@ class SnapshotInstance:
         for image in self.shards:
             offsets.append(offsets[-1] + image.count)
         self.offsets: Tuple[int, ...] = tuple(offsets)
+        self._np_offsets = np.asarray(offsets, dtype=np.int64)
         self._count = offsets[-1]
         #: Single-shard fast path: scalar access skips rank routing.
         self._single = self.shards[0] if len(self.shards) == 1 else None
@@ -981,28 +1110,41 @@ class SnapshotInstance:
         shard = self._shard_of_rank(k)
         return self.shards[shard].access(k - self.offsets[shard])
 
-    def batch_access(self, ks: Sequence[int]) -> List[Tuple]:
+    def page(self, ks: Sequence[int]) -> AnswerPage:
+        """The answers at ranks ``ks``, in the given order, as a columnar
+        :class:`AnswerPage`: one validation, one stable argsort, one walk of
+        ascending ranks per touched shard."""
         ranks = validate_ranks(ks, self._count)
         if len(ranks) == 0:
-            return []
-        if len(self.shards) == 1:
-            return self.shards[0].gather(ranks)
+            return AnswerPage(len(self.head), [])
         array = np.asarray(ranks, dtype=np.int64)
-        shard_ids = np.searchsorted(
-            np.asarray(self.offsets[1:], dtype=np.int64), array, side="right"
-        )
-        answers: List[Optional[Tuple]] = [None] * len(array)
-        for shard in np.unique(shard_ids).tolist():
-            positions = np.flatnonzero(shard_ids == shard)
-            served = self.shards[shard].gather(array[positions] - self.offsets[shard])
-            for position, answer in zip(positions.tolist(), served):
-                answers[position] = answer
-        return answers  # type: ignore[return-value]
+        order = np.argsort(array, kind="stable")
+        return self._walk_sorted(array[order], order)
+
+    def range_page(self, lo: int, hi: int) -> AnswerPage:
+        """:meth:`page` for the contiguous ranks ``lo ≤ k < hi``."""
+        lo, hi = validate_range(lo, hi, self._count)
+        if lo == hi:
+            return AnswerPage(len(self.head), [])
+        return self._walk_sorted(np.arange(lo, hi, dtype=np.int64), None)
+
+    def _walk_sorted(self, ranks: "np.ndarray", order) -> AnswerPage:
+        """Walk ascending ``ranks``: each shard gets (a shard-local copy of)
+        the contiguous slice one ``searchsorted`` of the ranks against the
+        offset table cuts for it."""
+        cuts = np.searchsorted(ranks, self._np_offsets).tolist()
+        pieces = [
+            self.shards[shard].walk(ranks[begin:end] - self.offsets[shard])
+            for shard, (begin, end) in enumerate(zip(cuts, cuts[1:]))
+            if begin < end
+        ]
+        return AnswerPage(len(self.head), pieces, order)
+
+    def batch_access(self, ks: Sequence[int]) -> List[Tuple]:
+        return self.page(ks).tuples()
 
     def range_access(self, lo: int, hi: int) -> List[Tuple]:
-
-        lo, hi = validate_range(lo, hi, self._count)
-        return self.batch_access(range(lo, hi))
+        return self.range_page(lo, hi).tuples()
 
     def inverted_access(self, answer: Sequence) -> int:
         if self._count == 0:

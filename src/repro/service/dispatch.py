@@ -15,7 +15,12 @@ A front-end serves each request on one of three **lanes**
   plan goes to the pool worker picked by plan fingerprint hash + the shard of
   the request's leading rank (one worker's touched shards stay hot in its
   page cache); it answers from its attached image and returns the response
-  *pre-encoded as JSON bytes*, off the master's interpreter.
+  *pre-encoded as JSON bytes*, off the master's interpreter.  There a page of
+  answers stays columnar from the kernel to the socket: the worker's reader
+  returns an :class:`~repro.core.snapshot.AnswerPage`, :func:`read_op` passes
+  it through, and :func:`encode_response` splices its rows from value
+  fragments the worker rendered once — no tuple, list or boxed value per
+  answer.
 * **executor** — everything that can build, refresh, rebuild, compact, scrape
   or block (prepare, mutations, the first read after a write, ``enum`` top-k,
   stats/metrics/explain/selection, malformed or unroutable oversized reads)
@@ -25,8 +30,10 @@ A front-end serves each request on one of three **lanes**
 handlers call it with the plan's synced reader, the loop lane with the pinned
 one, a worker (through the never-raising :func:`execute_read`) with its
 attached image — so the three lanes' responses for one epoch are
-byte-identical by construction (modulo the ``trace`` id only the master's
-tracer appends).
+byte-identical (modulo the ``trace`` id only the master's tracer appends):
+by construction up to the encoder, and because a spliced page is, fragment
+by fragment, what ``json.dumps`` writes for the same answers
+(``tests/property/test_property_page_bytes.py``).
 
 Distributed tracing rides the same frames without touching the bodies:
 request frames carry trace context inside the JSON payload under the
@@ -46,7 +53,8 @@ import struct
 from bisect import bisect_right
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.core.access import validate_rank
+from repro.core.access import plain_ints, validate_rank
+from repro.core.snapshot import AnswerPage
 from repro.exceptions import OutOfBoundsError
 from repro.service.protocol import (
     STATUS_BY_CODE,
@@ -54,20 +62,28 @@ from repro.service.protocol import (
     ServiceError,
     decode_answer,
     encode_answer,
+    encode_answers,
     error_for,
+    error_response,
 )
 
 #: Ops a worker can serve from an attached snapshot image alone.
 ROUTABLE_OPS = frozenset({"access", "batch_access", "range", "inverted_access", "count"})
 
-#: The largest read a front-end answers on the thread that parsed it.  The
-#: ladder prices an inline answer at 1.2-1.4 us (``service.execute_batch_ns_
-#: per_answer``) and a hand-off at ~190 us (``pool`` 95 + ``service.route`` 95
-#: to a worker; 60-250 us for the two thread wake-ups through the executor),
-#: so a read of <= 128 answers (~0.17 ms) is finished before anyone else could
-#: have been woken, and the same figure bounds how long one request holds the
-#: event loop (~0.2 ms).  A constant, not an option: one value is in use, and
-#: the property it depends on (answers requested) is visible in every request.
+#: The largest read a front-end answers on the thread that parsed it.  An
+#: inline batch does not cost the 1.3 us per answer of the ladder's 1 024-rank
+#: slope: it is two shard walks of ~30 NumPy calls each, however few ranks
+#: they carry, plus ~2 us per answer with its JSON.  Re-measured in-process on
+#: the 2-shard n = 1e5 image (``read_op`` + ``json.dumps``; paired runs on a
+#: host about 2x slower than the one that priced the hand-off): 1 rank
+#: 40-56 us, 64 ranks 180-240 us, 128 ranks 300-400 us (62, 310 and 535 us
+#: before a page was decoded column by column).  A hand-off costs ~190 us on
+#: the faster host (``pool`` 95 + ``service.route`` 95 to a worker; 60-250 us
+#: for the two thread wake-ups through the executor), so a read of <= 128
+#: answers is finished in about the time it takes to wake anyone else, and
+#: the same figure bounds how long one request holds the event loop (~0.2 ms
+#: there).  A constant, not an option: one value is in use, and the property
+#: it depends on (answers requested) is visible in every request.
 LOOP_LANE_MAX_ANSWERS = 128
 
 
@@ -83,7 +99,7 @@ def answers_requested(request: Mapping) -> Optional[int]:
         # Ranks are checked here only when the batch could take the loop
         # lane; a larger one is validated by whoever serves it.
         if type(ks) is not list or (len(ks) <= LOOP_LANE_MAX_ANSWERS
-                                    and not all(type(k) is int for k in ks)):
+                                    and not plain_ints(ks)):
             return None
         return len(ks)
     if op == "range":
@@ -208,21 +224,23 @@ def read_op(reader, fingerprint: str, request: Mapping) -> Dict[str, object]:
         ks = required(request, "ks")
         if not isinstance(ks, (list, tuple)):
             raise ServiceError("bad_request", "'ks' must be an array of ranks")
-        try:
-            # Scoped, so only the *client's* TypeError becomes bad_request.
-            # The engine re-validates (cheap next to the JSON parse of the
-            # same array); that redundancy is deliberate.
-            ks = [validate_rank(k) for k in ks]
-        except TypeError as exc:
-            raise ServiceError("bad_request", str(exc)) from None
+        if not plain_ints(ks):
+            try:
+                # Scoped, so only the *client's* TypeError becomes
+                # bad_request.  A list of plain ints (what a JSON array of
+                # ranks parses to) passes as it is, and the engine's
+                # ``validate_ranks`` accepts it by the same test.
+                ks = [validate_rank(k) for k in ks]
+            except TypeError as exc:
+                raise ServiceError("bad_request", str(exc)) from None
         answers = reader.batch_access(ks)
-        return {"plan": fingerprint, "answers": [encode_answer(a) for a in answers]}
+        return {"plan": fingerprint, "answers": encode_answers(answers)}
     if op == "range":
         lo = rank_field(request, "lo")
         hi = rank_field(request, "hi")
         answers = reader.range_access(lo, hi)
         return {"plan": fingerprint, "lo": lo, "hi": hi,
-                "answers": [encode_answer(a) for a in answers]}
+                "answers": encode_answers(answers)}
     if op == "inverted_access":
         answer = decode_answer(required(request, "answer"))
         return {"plan": fingerprint, "k": reader.inverted_access(answer)}
@@ -231,7 +249,7 @@ def read_op(reader, fingerprint: str, request: Mapping) -> Dict[str, object]:
         if k < 0:
             raise OutOfBoundsError(f"top-k size must be non-negative, got {k}")
         answers = reader.range_access(0, min(k, reader.count))
-        return {"plan": fingerprint, "answers": [encode_answer(a) for a in answers]}
+        return {"plan": fingerprint, "answers": encode_answers(answers)}
     if op == "count":
         return {"plan": fingerprint, "count": reader.count}
     raise ServiceError("bad_request", f"op {op!r} is not a read op")
@@ -388,11 +406,32 @@ def recv_exact(sock, size: int) -> Optional[bytes]:
 
 def encode_response(response: Mapping) -> Tuple[int, bytes]:
     """(HTTP status, JSON bytes) for a worker response — serialization runs
-    in the worker process, which is the point of routing."""
+    in the worker process, which is the point of routing.
+
+    A response whose ``answers`` are an :class:`AnswerPage` is spliced: the
+    other fields through ``json.dumps``, the rows from the page's
+    pre-rendered value fragments — the bytes ``json.dumps`` would write for
+    the same answers as lists, which is also the fallback when a value has
+    no fragment.  Never raises: a response ``json`` cannot encode becomes the
+    structured 500 the other lanes answer with.
+    """
     if response.get("ok"):
         status = 200
     else:
         error = response.get("error")
         code = error.get("code", "bad_request") if isinstance(error, Mapping) else "bad_request"
         status = STATUS_BY_CODE.get(code, 400)
-    return status, json.dumps(response).encode("utf-8")
+    try:
+        page = response.get("answers")
+        if not isinstance(page, AnswerPage):
+            return status, json.dumps(response).encode("utf-8")
+        rows = page.json_rows() if next(reversed(response)) == "answers" else None
+        if rows is None:
+            return status, json.dumps({**response, "answers": page.tuples()}).encode("utf-8")
+        head = {key: value for key, value in response.items() if key != "answers"}
+        text = json.dumps(head)[:-1] + ', "answers": [' + rows + "]}"
+        return status, text.encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        return 500, json.dumps(error_response(
+            "internal", f"response not JSON-representable: {exc}"
+        )).encode("utf-8")

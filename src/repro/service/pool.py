@@ -57,13 +57,28 @@ _WORKER_FAMILY_PREFIX = "repro_pool_worker"
 # ----------------------------------------------------------------------
 # Worker process main loop
 # ----------------------------------------------------------------------
-class _Attachment:
-    __slots__ = ("epoch", "snapshot", "instance", "seconds")
+class _PageReader:
+    """A worker's reader over its attached image: ``read_op``'s view of a
+    :class:`~repro.core.snapshot.SnapshotInstance` whose batched reads stay
+    columnar (:class:`~repro.core.snapshot.AnswerPage`) up to the encoder."""
 
-    def __init__(self, epoch, snapshot, instance, seconds):
+    __slots__ = ("access", "inverted_access", "batch_access", "range_access", "count")
+
+    def __init__(self, instance) -> None:
+        self.access = instance.access
+        self.inverted_access = instance.inverted_access
+        self.batch_access = instance.page
+        self.range_access = instance.range_page
+        self.count = instance.count
+
+
+class _Attachment:
+    __slots__ = ("epoch", "snapshot", "reader", "seconds")
+
+    def __init__(self, epoch, snapshot, reader, seconds):
         self.epoch = epoch
         self.snapshot = snapshot
-        self.instance = instance
+        self.reader = reader
         self.seconds = seconds
 
 
@@ -137,6 +152,12 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
         "Answers produced by pool workers' batched/range reads.",
         ("worker", "op"),
     )
+    pages_total = registry.counter(
+        "repro_pool_worker_pages_total",
+        "Answer pages encoded by pool workers, by encoder: spliced from "
+        "pre-rendered value fragments, or the json.dumps fallback.",
+        ("worker", "encoder"),
+    )
     attached_plans = registry.gauge(
         "repro_pool_worker_attached_plans",
         "Snapshot images currently attached in each pool worker.",
@@ -182,7 +203,7 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
             # and respawns cannot leak spans across requests.
             with TRACER.span("worker:serve", worker=wid, pid=pid, op=op) as root:
                 with TRACER.span("worker:execute"):
-                    response = execute_read(entry.instance, fingerprint, request)
+                    response = execute_read(entry.reader, fingerprint, request)
                 with TRACER.span("worker:encode"):
                     status, body = encode_response(response)
             try:
@@ -197,7 +218,7 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
             else:
                 span_len = len(span_payload)
         else:
-            response = execute_read(entry.instance, fingerprint, request)
+            response = execute_read(entry.reader, fingerprint, request)
             status, body = encode_response(response)
         seconds = time.perf_counter() - started
         # One vectored write per response: the pre-encoded body bytes go to
@@ -217,9 +238,10 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
         outcome = "ok" if status == 200 else str(status)
         requests_total.inc((wid, op_label, outcome))
         request_seconds.observe(seconds, (wid, op_label))
-        answers = response.get("answers")
-        if isinstance(answers, list):
-            answers_total.inc((wid, op_label), len(answers))
+        page = response.get("answers")
+        if page is not None:
+            answers_total.inc((wid, op_label), len(page))
+            pages_total.inc((wid, page.encoder))
         return True
 
     running = True
@@ -248,14 +270,14 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
                     started = time.perf_counter()
                     snapshot_module._OWNED_NAMES.add(name)
                     snapshot = snapshot_module.InstanceSnapshot.attach(name)
-                    instance = snapshot_module.SnapshotInstance(snapshot)
+                    reader = _PageReader(snapshot_module.SnapshotInstance(snapshot))
                     seconds = time.perf_counter() - started
                 except Exception as exc:
                     conn.send(("attach_failed", fingerprint, epoch,
                                f"{type(exc).__name__}: {exc}"))
                     continue
                 old = attachments.get(fingerprint)
-                attachments[fingerprint] = _Attachment(epoch, snapshot, instance, seconds)
+                attachments[fingerprint] = _Attachment(epoch, snapshot, reader, seconds)
                 if old is not None:
                     _close(old)
                 attached_plans.set(len(attachments), (wid,))

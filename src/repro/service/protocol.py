@@ -29,6 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from repro.core.atoms import ConjunctiveQuery
 from repro.core.orders import LexOrder, Weights
 from repro.core.parser import parse_fds, parse_order, parse_query
+from repro.core.snapshot import AnswerPage
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.backends import BackendUnavailableError
@@ -402,6 +403,15 @@ class PlanSpec:
 def encode_answer(answer: Tuple) -> List:
     """An answer tuple as a JSON array (values must be JSON-representable)."""
     return list(answer)
+
+
+def encode_answers(answers):
+    """A batched read's answers as JSON arrays.  A columnar
+    :class:`~repro.core.snapshot.AnswerPage` (a pool worker's reads) passes
+    through: :func:`repro.service.dispatch.encode_response` writes its rows."""
+    if isinstance(answers, AnswerPage):
+        return answers
+    return list(map(list, answers))
 
 
 def decode_answer(payload) -> Tuple:

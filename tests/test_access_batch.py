@@ -118,6 +118,35 @@ class TestBatchEquivalence:
             access.batch_access([-1])
 
 
+class TestCallerArrayUntouched:
+    """The batched walks consume their working array in place, so they walk a
+    copy: an int64 ndarray of ranks must come back unchanged, and a second call
+    with the same array must agree with the first."""
+
+    @pytest.mark.parametrize(
+        "serving", ["facade", "batch_index", "image", "sharded_image"])
+    def test_int64_array_of_ranks_is_not_consumed(self, backend, serving):
+        numpy = pytest.importorskip("numpy", exc_type=ImportError)
+        from repro.core.snapshot import capture
+
+        shards = 2 if serving == "sharded_image" else None
+        access = LexDirectAccess(
+            pq.TWO_PATH, make_two_path(backend), LexOrder(("x", "y", "z")),
+            shards=shards)
+        reader = access
+        if serving == "batch_index":  # no image: the _BatchIndex walk
+            access._instance._snapshot_image = None
+        elif serving != "facade":
+            reader = capture(access._instance).instance()
+            assert len(reader.shards) == (shards or 1)
+        ks = numpy.array([5, 0, 5, access.count - 1, 1, 0], dtype=numpy.int64)
+        before = ks.copy()
+        expected = [access.access(int(k)) for k in before]
+        assert reader.batch_access(ks) == expected
+        assert (ks == before).all()
+        assert reader.batch_access(ks) == expected
+
+
 class TestRankValidation:
     @pytest.fixture()
     def access(self):
@@ -190,6 +219,21 @@ class TestRankValidation:
             access.access(7)
         with pytest.raises(OutOfBoundsError, match=r"index 7 .* 2 answers"):
             access.answer_weight(7)
+
+    def test_first_offending_rank_is_named_whatever_the_container(self, access):
+        count = access.count
+        bad = [1, count + 3, -2]
+        containers = [list, tuple]
+        try:
+            import numpy
+            containers.append(lambda ks: numpy.array(ks, dtype=numpy.int64))
+        except ImportError:
+            pass
+        for container in containers:
+            with pytest.raises(OutOfBoundsError, match=rf"index {count + 3} "):
+                access.batch_access(container(bad))
+        with pytest.raises(OutOfBoundsError, match=rf"index {2**70} "):
+            access.batch_access([0, 2**70, -1])
 
     def test_core_access_validates_too(self, access):
         instance = access._instance

@@ -437,3 +437,50 @@ class TestHandOffsAndIdentity:
                     status, routed, _trace = pooled.dispatch_raw(request)
                     assert without_trace(over_http) == without_trace(executed) == routed
                     assert (status == 200) == json.loads(routed)["ok"]
+
+    @pytest.mark.parametrize("size", [LOOP_LANE_MAX_ANSWERS, LOOP_LANE_MAX_ANSWERS + 1, 300])
+    def test_bad_batches_get_one_body_whatever_the_lane(self, pooled, size):
+        """Status and bytes of a rejected (or empty) batch do not depend on
+        which lane validated it: the first offending rank is named, a bool or
+        float rank is a ``bad_request``, on every lane, at every size."""
+        plan = pooled.prepare("demo", PATH_QUERY, order="x, y, z")
+        fingerprint, count = plan.fingerprint, plan.count
+        cases = {
+            "out_of_bounds": ([5, count + 3, -2], 404, f"index {count + 3} is out"),
+            "bool": ([1, True], 400, "not bool"),
+            "float": ([1, 2.0], 400, "not float"),
+            "beyond_int64": ([2**70], 404, f"index {2**70} is out"),
+            "empty": ([], 200, None),
+        }
+        requests = {}
+        for name, (bad, _status, _message) in cases.items():
+            filler = [k % count for k in range(size - len(bad))] if bad else []
+            requests[name] = {"op": "batch_access", "plan": fingerprint,
+                              "ks": filler[:7] + bad + filler[7:]}
+        # The worker lane first, synchronously: once the event loop has sent a
+        # frame of its own it owns the workers' serve sockets.
+        routed = {name: pooled.dispatch_raw(request)
+                  for name, request in requests.items()}
+        with serving(pooled) as (server, _thread):
+            with HTTPSession(base_url(server)) as session:
+                for name, (_bad, expected_status, message) in cases.items():
+                    request = requests[name]
+                    if len(request["ks"]) > LOOP_LANE_MAX_ANSWERS:
+                        lane = "worker"
+                    else:  # a batch with a non-int rank never takes the loop
+                        lane = "executor" if name in ("bool", "float") else "loop"
+                    taken = LOOP_LANES.value((lane,))
+                    http_status, _headers, over_http = session._roundtrip(
+                        "POST", "/v1/query", json.dumps(request).encode(),
+                        {"Content-Type": "application/json"})
+                    assert LOOP_LANES.value((lane,)) == taken + 1, (name, lane)
+                    document = json.loads(over_http)
+                    document.pop("trace", None)
+                    executed = pooled.execute(request)
+                    executed.pop("trace", None)
+                    routed_status, routed_body, _trace = routed[name]
+                    assert json.dumps(document).encode() == routed_body, name
+                    assert json.dumps(executed).encode() == routed_body, name
+                    assert http_status == routed_status == expected_status, name
+                    if message is not None:
+                        assert message in executed["error"]["message"], name

@@ -15,6 +15,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from decimal import Decimal
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.service import (
     pool_supported,
 )
 from repro.service.dispatch import LOOP_LANE_MAX_ANSWERS, ROUTABLE_OPS
+from repro.service.protocol import error_response
 
 if not pool_supported():
     pytest.skip("worker pool needs NumPy + shared memory", allow_module_level=True)
@@ -45,6 +47,15 @@ def canonical(response):
     if isinstance(response, (bytes, bytearray)):
         response = json.loads(bytes(response))
     return {k: v for k, v in response.items() if k != "trace"}
+
+
+def worker_pages(pool, encoder):
+    """``repro_pool_worker_pages_total{encoder=...}`` summed over the workers."""
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in pool.render_worker_metrics().splitlines()
+        if line.startswith("repro_pool_worker_pages_total{")
+        and f'encoder="{encoder}"' in line)
 
 
 @pytest.fixture()
@@ -165,6 +176,17 @@ class TestObservability:
         assert "repro_pool_worker_requests_total" in text
         assert "repro_pool_worker_request_seconds" in text
 
+    def test_pages_are_counted_by_encoder(self, pooled, plan):
+        fingerprint = plan.fingerprint
+        for request in ({"op": "batch_access", "plan": fingerprint, "ks": [3, 0, 3]},
+                        {"op": "batch_access", "plan": fingerprint, "ks": []},
+                        {"op": "range", "plan": fingerprint, "lo": 1, "hi": 4},
+                        {"op": "access", "plan": fingerprint, "k": 0},  # no page
+                        {"op": "range", "plan": fingerprint, "lo": 4, "hi": 1}):
+            assert pooled.dispatch_raw(request) is not None
+        assert worker_pages(pooled.pool, "fragments") == 3
+        assert worker_pages(pooled.pool, "json") == 0
+
     def test_stats_report_per_worker_attachments(self, pooled, plan):
         pooled.dispatch_raw({"op": "count", "plan": plan.fingerprint})
         stats = pooled.stats()
@@ -178,6 +200,46 @@ class TestObservability:
             assert info["seconds"] >= 0
             assert info["count"] == plan.count
         assert stats["pool"]["dispatched"] >= 1
+
+
+class TestUnencodableValues:
+    def test_a_value_json_cannot_encode_answers_500_and_keeps_the_worker(self):
+        """``Decimal`` enters through the Python API and survives capture and
+        publish; ``json`` cannot write it.  The worker must answer the same
+        structured 500 the event loop's executor lane does — not die."""
+        service = QueryService(max_plans=4)
+        service.register_database("demo", Database([
+            Relation("R", ("x", "y"), [(1, Decimal("2.5")), (2, Decimal("3.5"))]),
+            Relation("S", ("y", "z"), [(Decimal("2.5"), 7), (Decimal("3.5"), 8)]),
+        ]))
+        pool = WorkerPool(workers=2)
+        service.attach_pool(pool)
+        pool.start()
+        try:
+            plan = service.prepare("demo", QUERY_TEXT, order="x, y, z")
+            fingerprint = plan.fingerprint
+            for request in ({"op": "access", "plan": fingerprint, "k": 0},
+                            {"op": "batch_access", "plan": fingerprint, "ks": [1, 0]},
+                            {"op": "range", "plan": fingerprint, "lo": 0, "hi": 2}):
+                with pytest.raises(TypeError) as unencodable:
+                    json.dumps(service.execute(dict(request)))
+                routed = service.dispatch_raw(request)
+                assert routed is not None, "the worker died"
+                status, body, _trace = routed
+                assert status == 500
+                assert body == json.dumps(error_response(
+                    "internal",
+                    f"response not JSON-representable: {unencodable.value}",
+                )).encode("utf-8")
+            assert pool.check_health()["restarts"] == 0
+            assert worker_pages(pool, "json") == 2
+            assert worker_pages(pool, "fragments") == 0
+            # Reads that carry no such value still succeed on the same workers.
+            status, body, _trace = service.dispatch_raw(
+                {"op": "count", "plan": fingerprint})
+            assert (status, canonical(body)["count"]) == (200, plan.count)
+        finally:
+            service.close()
 
 
 class TestLifecycle:
