@@ -1003,7 +1003,7 @@ def build_snapshot_parser() -> argparse.ArgumentParser:
 
 def _snapshot_save(parser: argparse.ArgumentParser, args) -> int:
     from repro import LexDirectAccess
-    from repro.core.snapshot import capture
+    from repro.core.snapshot import installed
     from repro.service import load_database
 
     name, separator, path = args.db.partition("=")
@@ -1020,9 +1020,9 @@ def _snapshot_save(parser: argparse.ArgumentParser, args) -> int:
         )
     except Exception as exc:
         parser.error(str(exc))
-    snapshot = capture(
-        access._instance, fingerprint=access.plan.fingerprint
-    ) if access._instance is not None else None
+    # The build captured its image once already (stamped with the plan's
+    # fingerprint); save that one rather than flattening the instance again.
+    snapshot = installed(access._instance)
     if snapshot is None:
         print(json.dumps({
             "ok": False,

@@ -26,6 +26,12 @@ a single ``np.cumsum``.  The vectorized path bails out (to the reference path)
 whenever exactness would be at risk — in particular when the worst-case bucket
 totals could exceed int64, so answer counts beyond 2^62 still use exact Python
 integers.  Both paths produce identical buckets.
+
+The vectorized path also hands its flat arrays to capture: it keeps the
+sorted codes, the bucket-local prefix sums, the bucket sizes and totals and
+each row's child-bucket index on the layer's :class:`_ColumnarLayerIndex`,
+and :func:`repro.core.snapshot.capture` assembles the layer's image from them
+instead of walking the buckets and re-encoding every value.
 """
 
 from __future__ import annotations
@@ -102,6 +108,13 @@ class _ColumnarLayerIndex:
     own encoding; ``bases`` the packing bases.  Parents translate their rows
     into this code space and ``searchsorted`` into ``packed_keys`` to fetch
     all child-bucket totals in one shot.
+
+    The remaining fields are what :func:`repro.core.snapshot.capture`
+    flattens the layer from, all in flat row order (buckets in key order,
+    rows sorted within each bucket): ``codes``/``domains`` the sorted storage
+    codes and value domains of every column, ``starts`` the bucket-local
+    prefix sums, ``sizes`` the bucket row counts, and ``child_ids`` — per
+    child layer index — the bucket each row points into.
     """
 
     key_indexes: List[Dict[object, int]]
@@ -109,6 +122,11 @@ class _ColumnarLayerIndex:
     packed_keys: "np.ndarray"
     totals: "np.ndarray"
     max_total: int
+    codes: List["np.ndarray"]
+    domains: List["np.ndarray"]
+    starts: "np.ndarray"
+    sizes: "np.ndarray"
+    child_ids: Dict[int, "np.ndarray"]
 
 
 @dataclass
@@ -153,12 +171,14 @@ class PreprocessedInstance:
 
     def __getstate__(self):
         # Locks don't pickle, the batch index is a lazily rebuilt cache, and
-        # the snapshot image may view shared-memory/mmap buffers; drop all
-        # three so instances cross process-pool boundaries cleanly.
+        # the snapshot image (its kernels and its installed handle) may view
+        # shared-memory/mmap buffers; drop them so instances cross
+        # process-pool boundaries cleanly.
         state = self.__dict__.copy()
         state.pop("_batch_lock", None)
         state.pop("_batch_index", None)
         state.pop("_snapshot_image", None)
+        state.pop("_installed_snapshot", None)
         return state
 
     def __setstate__(self, state):
@@ -222,8 +242,9 @@ def _child_totals_vectorized(
     parent_storage: ColumnarStorage,
     sorted_codes: List["np.ndarray"],
     positions: Tuple[int, ...],
-) -> Optional["np.ndarray"]:
-    """Per-row totals of the child buckets each parent row points into."""
+) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
+    """Per-row totals of the child buckets each parent row points into, and
+    each row's child-bucket index (its slot in ``packed_keys``)."""
     mapped: List[np.ndarray] = []
     valid = np.ones(len(sorted_codes[0]) if sorted_codes else 0, dtype=bool)
     for position, key_index in zip(positions, child_index.key_indexes):
@@ -241,11 +262,13 @@ def _child_totals_vectorized(
 
     keys = child_index.packed_keys
     if len(keys) == 0:
-        return np.zeros(len(valid), dtype=np.int64)
-    slots = np.searchsorted(keys, packed)
-    clipped = np.minimum(slots, len(keys) - 1)
-    found = valid & (slots < len(keys)) & (keys[clipped] == packed)
-    return np.where(found, child_index.totals[clipped], 0)
+        zeros = np.zeros(len(valid), dtype=np.int64)
+        return zeros, zeros
+    slots = np.minimum(np.searchsorted(keys, packed), len(keys) - 1).astype(
+        np.int64, copy=False
+    )
+    found = valid & (keys[slots] == packed)
+    return np.where(found, child_index.totals[slots], 0), slots
 
 
 def _build_layer_columnar(
@@ -274,12 +297,18 @@ def _build_layer_columnar(
     arity = len(relation.attributes)
     n = len(storage)
     if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
         empty_index = _ColumnarLayerIndex(
             key_indexes=[storage.domain_index(p) for p in key_positions],
             bases=tuple(max(1, len(storage.domains[p])) for p in key_positions),
-            packed_keys=np.zeros(0, dtype=np.int64),
-            totals=np.zeros(0, dtype=np.int64),
+            packed_keys=empty,
+            totals=empty,
             max_total=0,
+            codes=list(storage.codes),
+            domains=list(storage.domains),
+            starts=empty,
+            sizes=empty,
+            child_ids={child.index: empty for child in child_layers},
         )
         return {}, empty_index
 
@@ -312,15 +341,21 @@ def _build_layer_columnar(
 
     # Step 5: vectorized counting DP (weights, prefix sums, bucket totals).
     weights = np.ones(n, dtype=np.int64)
-    for child_index, positions in zip(child_indexes, child_key_positions):
-        totals = _child_totals_vectorized(child_index, storage, sorted_codes, positions)
-        if totals is None:
+    child_ids: Dict[int, np.ndarray] = {}
+    for child, child_index, positions in zip(
+        child_layers, child_indexes, child_key_positions
+    ):
+        probed = _child_totals_vectorized(child_index, storage, sorted_codes, positions)
+        if probed is None:
             return None
+        totals, child_ids[child.index] = probed
         weights *= totals
     ends_global = np.cumsum(weights)
     starts_global = ends_global - weights
-    base = np.repeat(starts_global[group_starts], group_ends - group_starts)
-    starts = (starts_global - base).tolist()
+    sizes = group_ends - group_starts
+    base = np.repeat(starts_global[group_starts], sizes)
+    local_starts = starts_global - base
+    starts = local_starts.tolist()
     ends = (ends_global - base).tolist()
     weights_list = weights.tolist()
 
@@ -370,6 +405,11 @@ def _build_layer_columnar(
             packed_keys=packed,
             totals=np.asarray(totals_per_bucket, dtype=np.int64),
             max_total=max_total,
+            codes=sorted_codes,
+            domains=list(storage.domains),
+            starts=local_starts,
+            sizes=sizes,
+            child_ids=child_ids,
         )
     return buckets, columnar_index
 

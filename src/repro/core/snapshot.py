@@ -56,10 +56,23 @@ one fancy index into its value dictionary (the public ``batch_access`` /
 on first use, in the process that encodes — never at capture, publish or
 attach — and are not part of the image.
 
+Capture has two producers of the same per-layer arrays and one assembly
+routine that lays them out.  A layer the columnar build produced hands over
+the arrays that build already holds (sorted codes, bucket-local prefix sums,
+bucket sizes and totals, each row's child-bucket index): its codes are
+re-encoded in first-occurrence order by one ``np.unique`` and each domain
+keeps the storage's own representative objects.  A layer built row-wise (row
+backend, exact-int builds) takes the *bucket walk*, which dictionary-encodes
+every value.  Both yield byte-identical images (property-tested).  The
+executor captures once per build and installs the image; publishing and
+``repro snapshot save`` reuse that installed image (:func:`installed`)
+rather than flattening the instance a second time.
+
 Capture is a pure accelerator: any value the dictionary encoding cannot
 represent exactly (unhashable, or ``==``-equal to a distinguishable
-representative — the same guards as the columnar backend) makes
-:func:`capture` return ``None`` and serving stays on the object walk.
+representative — the same guards as the columnar backend, which is why the
+columnar producer needs no check of its own) makes :func:`capture` return
+``None`` and serving stays on the object walk.
 """
 
 from __future__ import annotations
@@ -496,61 +509,115 @@ class AnswerPage:
 # ----------------------------------------------------------------------
 # Capture (instance -> image)
 # ----------------------------------------------------------------------
+def _first_occurrence(codes: "np.ndarray", domain: "np.ndarray") -> Tuple["np.ndarray", List]:
+    """Re-encode storage ``codes`` (indices into ``domain``) exactly as
+    :func:`_encode_values` encodes the decoded column: code ``j`` is the
+    ``j``-th distinct value in row order.  The domain lists the storage's own
+    representative objects — the very objects the decoded rows hold — and
+    the storage's encoding guards already keep distinguishable values apart,
+    so no value is hashed again.
+    """
+    present, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(present), dtype=np.int64)
+    rank[by_first] = np.arange(len(present))
+    values = domain[present[by_first]].tolist()
+    return rank[inverse].astype(code_dtype(len(values)), copy=False), values
+
+
+def _columnar_layer(index) -> Tuple:
+    """The capture arrays of a columnar-built layer, as its build left them."""
+    columns = [
+        _first_occurrence(codes, domain)
+        for codes, domain in zip(index.codes, index.domains)
+    ]
+    return index.starts, index.sizes, index.totals, columns, index.child_ids
+
+
+def _walked_layer(instance: PreprocessedInstance, layer, bucket_ids) -> Tuple:
+    """The same arrays for a row-built layer (row backend, exact-int builds):
+    walk the buckets and dictionary-encode every value.  ``bucket_ids(child)``
+    maps a child layer's bucket keys to bucket indexes."""
+    buckets = list(layer.buckets.values())
+    sizes = [len(bucket.tuples) for bucket in buckets]
+    total_rows = sum(sizes)
+    starts = np.fromiter(
+        (start for bucket in buckets for start in bucket.starts),
+        dtype=np.int64, count=total_rows,
+    )
+    totals = np.fromiter(
+        (bucket.total for bucket in buckets), dtype=np.int64, count=len(buckets)
+    )
+    rows = [row for bucket in buckets for row in bucket.tuples]
+    columns = [
+        _encode_values([row[column] for row in rows])
+        for column in range(len(layer.variables))
+    ]
+    child_ids: Dict[int, np.ndarray] = {}
+    for child in layer.children:
+        child_map = bucket_ids(child)
+        key_positions = tuple(
+            layer.variables.index(v) for v in instance.layers[child].key_variables
+        )
+        child_ids[child] = np.fromiter(
+            (child_map[tuple(row[p] for p in key_positions)] for row in rows),
+            dtype=np.int64, count=total_rows,
+        )
+    return starts, sizes, totals, columns, child_ids
+
+
+def _assemble_layer(
+    prefix: str,
+    produced: Tuple,
+    arrays: Dict[str, "np.ndarray"],
+    domains: Dict[str, List],
+) -> Dict[str, int]:
+    """Lay one layer's produced arrays out under ``prefix``; returns the
+    layer's manifest entry.  Both producers feed this one routine, which is
+    what keeps their images byte-identical."""
+    starts, sizes, totals, columns, child_ids = produced
+    stride = int(totals.max()) if len(totals) else 1
+    # May raise OverflowError: the caller treats that as "no snapshot".
+    searcher = SegmentedSearcher(starts, sizes, stride=stride)
+    arrays[prefix + "starts"] = starts
+    arrays[prefix + "aug"] = searcher._augmented
+    arrays[prefix + "seg_offsets"] = searcher.offsets
+    arrays[prefix + "totals"] = totals
+    for column, (codes, domain) in enumerate(columns):
+        arrays[prefix + f"codes{column}"] = codes
+        domains[prefix + f"dom{column}"] = domain
+    for child, ids in child_ids.items():
+        arrays[prefix + f"child{child}"] = ids
+    return {"rows": len(starts), "segments": len(totals), "stride": searcher.stride}
+
+
 def _capture_shard(
     instance: PreprocessedInstance,
     shard: int,
-    head_position: Dict[str, int],
     arrays: Dict[str, "np.ndarray"],
     domains: Dict[str, List],
-    shard_meta: Dict[str, Dict[str, int]],
-) -> None:
-    """Flatten one ``PreprocessedInstance`` into the named-array dicts."""
-    bucket_id_maps: Dict[int, Dict[Tuple, int]] = {}
-    for i in sorted(instance.layers, reverse=True):  # children first
+) -> Dict[str, Dict[str, int]]:
+    """Flatten one ``PreprocessedInstance`` into the named-array dicts;
+    returns its per-layer manifest entries."""
+    bucket_ids: Dict[int, Dict[Tuple, int]] = {}
+
+    def ids_of(child: int) -> Dict[Tuple, int]:
+        if child not in bucket_ids:
+            bucket_ids[child] = {
+                key: j for j, key in enumerate(instance.layers[child].buckets)
+            }
+        return bucket_ids[child]
+
+    shard_meta: Dict[str, Dict[str, int]] = {}
+    # Descending layer order fixes the pickled domains' order in the image.
+    for i in sorted(instance.layers, reverse=True):
         layer = instance.layers[i]
-        buckets = list(layer.buckets.values())
-        sizes = [len(bucket.tuples) for bucket in buckets]
-        total_rows = sum(sizes)
-        prefix = f"s{shard}/L{i}/"
-        starts = np.fromiter(
-            (start for bucket in buckets for start in bucket.starts),
-            dtype=np.int64, count=total_rows,
-        )
-        totals = np.fromiter(
-            (bucket.total for bucket in buckets), dtype=np.int64, count=len(buckets)
-        )
-        stride = int(totals.max()) if len(totals) else 1
-        # May raise OverflowError: the caller treats that as "no snapshot".
-        searcher = SegmentedSearcher(starts, sizes, stride=stride)
-
-        arrays[prefix + "starts"] = starts
-        arrays[prefix + "aug"] = searcher._augmented
-        arrays[prefix + "seg_offsets"] = searcher.offsets
-        arrays[prefix + "totals"] = totals
-
-        rows = [row for bucket in buckets for row in bucket.tuples]
-        for column in range(len(layer.variables)):
-            codes, domain = _encode_values([row[column] for row in rows])
-            arrays[prefix + f"codes{column}"] = codes
-            domains[prefix + f"dom{column}"] = domain
-
-        for child in layer.children:
-            child_map = bucket_id_maps[child]
-            key_positions = tuple(
-                layer.variables.index(v)
-                for v in instance.layers[child].key_variables
-            )
-            arrays[prefix + f"child{child}"] = np.fromiter(
-                (
-                    child_map[tuple(row[p] for p in key_positions)]
-                    for row in rows
-                ),
-                dtype=np.int64, count=total_rows,
-            )
-        bucket_id_maps[i] = {bucket.key: j for j, bucket in enumerate(buckets)}
-        shard_meta[str(i)] = {
-            "rows": total_rows, "segments": len(buckets), "stride": searcher.stride,
-        }
+        if layer.columnar is not None:
+            produced = _columnar_layer(layer.columnar)
+        else:
+            produced = _walked_layer(instance, layer, ids_of)
+        shard_meta[str(i)] = _assemble_layer(f"s{shard}/L{i}/", produced, arrays, domains)
+    return shard_meta
 
 
 def capture(instance, fingerprint: str = "", epoch: int = 0) -> Optional["InstanceSnapshot"]:
@@ -575,7 +642,6 @@ def capture(instance, fingerprint: str = "", epoch: int = 0) -> Optional["Instan
         return None
 
     started = time.perf_counter()
-    head_position = {variable: position for position, variable in enumerate(head)}
     arrays: Dict[str, np.ndarray] = {}
     domains: Dict[str, List] = {}
     shards_meta: List[Dict[str, object]] = []
@@ -599,10 +665,7 @@ def capture(instance, fingerprint: str = "", epoch: int = 0) -> Optional["Instan
         })
     try:
         for shard, shard_instance in enumerate(shard_instances):
-            shard_meta: Dict[str, Dict[str, int]] = {}
-            _capture_shard(
-                shard_instance, shard, head_position, arrays, domains, shard_meta
-            )
+            shard_meta = _capture_shard(shard_instance, shard, arrays, domains)
             shards_meta.append({"count": shard_instance.count, "layers": shard_meta})
     except (OverflowError, TypeError):
         return None
@@ -632,13 +695,24 @@ def install(instance, fingerprint: str = "", epoch: int = 0) -> Optional["Instan
 
     The per-shard :class:`FlatShard` images are attached as
     ``_snapshot_image`` on the underlying ``PreprocessedInstance`` objects,
-    which is where :mod:`repro.core.access` dispatches the fast paths.
+    which is where :mod:`repro.core.access` dispatches the fast paths; the
+    image itself stays reachable through :func:`installed`.
     """
     snapshot = capture(instance, fingerprint=fingerprint, epoch=epoch)
     if snapshot is None:
         return None
     snapshot.install(instance)
     return snapshot
+
+
+def installed(instance) -> Optional["InstanceSnapshot"]:
+    """The image :func:`install` captured for ``instance``, if any.
+
+    Publishing and ``repro snapshot save`` take this one instead of
+    capturing again: an instance never changes after its build, so its
+    image never goes stale.
+    """
+    return getattr(instance, "_installed_snapshot", None)
 
 
 # ----------------------------------------------------------------------
@@ -750,12 +824,14 @@ class InstanceSnapshot:
         return len(self.to_bytes())
 
     def install(self, instance) -> None:
-        """Attach the per-shard fused kernels to a live instance tree."""
+        """Attach the per-shard fused kernels to a live instance tree, and
+        this image to its root (see :func:`installed`)."""
         if getattr(instance, "is_sharded", False):
             for shard_instance, image in zip(instance.shards, self.shards):
                 shard_instance._snapshot_image = image
         else:
             instance._snapshot_image = self.shards[0]
+        instance._installed_snapshot = self
 
     def instance(self) -> "SnapshotInstance":
         """A serving facade over this image (no preprocessing required)."""
@@ -947,8 +1023,8 @@ def shm_name(fingerprint: str, epoch: int) -> str:
 class SnapshotPublisher:
     """Refcounted shared-memory publication of one plan's epoch images.
 
-    ``publish`` captures (if needed) and copies the epoch's image into its
-    named block with a publisher reference; readers ``acquire``/``release``
+    ``publish`` copies the epoch's image — the one installed at build time —
+    into its named block with a publisher reference; readers ``acquire``/``release``
     epochs they serve from.  ``retire`` drops the publisher reference — the
     block is unlinked once nobody holds it, so a ``LiveInstance`` swap
     publishes the new epoch first and retires the old one without yanking
@@ -961,17 +1037,31 @@ class SnapshotPublisher:
         self._blocks: Dict[int, Tuple[object, int]] = {}  # epoch -> (block, refs)
 
     def publish(self, source, epoch: int) -> Optional[str]:
-        """Publish an instance (or prebuilt snapshot) under ``epoch``."""
-        snapshot = source
-        if not isinstance(source, InstanceSnapshot):
-            snapshot = capture(source, fingerprint=self.fingerprint, epoch=epoch)
-            if snapshot is None:
-                return None
+        """Publish an instance (or prebuilt snapshot) under ``epoch``.
+
+        An instance publishes the image installed at its build, re-stamped
+        with this publisher's fingerprint and the epoch — byte for byte what
+        a fresh capture would write — so the build's capture stays the only
+        one.  Only an instance built outside the executor (no installed
+        image) is captured here; ``None`` when capture declines.
+        """
+        if isinstance(source, InstanceSnapshot):
+            snapshot = source
         else:
-            snapshot.manifest["epoch"] = int(epoch)
+            snapshot = installed(source)
+            if snapshot is None:
+                snapshot = capture(source, fingerprint=self.fingerprint, epoch=epoch)
+                if snapshot is None:
+                    return None
+            snapshot.manifest["fingerprint"] = self.fingerprint
+        snapshot.manifest["epoch"] = int(epoch)
         block = snapshot.publish(shm_name(self.fingerprint, epoch))
         self._blocks[epoch] = (block, 1)
         return block.name
+
+    def nbytes(self, epoch: int) -> int:
+        """Size of the block published under ``epoch``."""
+        return self._blocks[epoch][0].size
 
     def acquire(self, epoch: int) -> None:
         block, refs = self._blocks[epoch]

@@ -61,6 +61,7 @@ from repro.live.delta import LiveDatabase
 from repro.live.diff import compute_answer_delta
 from repro.live.merged import MergedAccess
 from repro.obs import COMPACTION_SECONDS, DELTA_REFRESHES
+from repro.planner.executor import record_stage
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ class LiveInstance:
             from repro.core.snapshot import SnapshotPublisher
 
             self._publisher = SnapshotPublisher(fingerprint=plan.fingerprint)
-            self._publish_epoch(epoch)
+            self._publish_epoch(epoch, report=base.report)
 
     # ------------------------------------------------------------------
     # Capability gating
@@ -318,8 +319,12 @@ class LiveInstance:
             return self._compactions[-1]
 
     def _record_compaction(
-        self, reason: str, mode: str, epoch: int, count: int, started: float
+        self, reason: str, mode: str, epoch: int, count: int, started: float,
+        published: Tuple[float, int] = (0.0, 0),
     ) -> None:
+        """Append the compaction record; ``seconds`` runs from ``started``
+        to now, so it covers build, capture and ``published`` (the publish's
+        ``(seconds, bytes)``) alike."""
         seconds = time.perf_counter() - started
         # Partial rebuilds carry a per-run "partial:rebuilt/total" mode; the
         # metric keeps the label set bounded by folding them into "partial".
@@ -331,6 +336,8 @@ class LiveInstance:
             "epoch": epoch,
             "count": count,
             "seconds": round(seconds, 6),
+            "publish_seconds": round(published[0], 6),
+            "publish_bytes": published[1],
         })
 
     def _adopt_base(self, old: _Snapshot, epoch: int) -> _Snapshot:
@@ -389,12 +396,16 @@ class LiveInstance:
         old_base_epoch = old.base_epoch
         snapshot = _Snapshot(epoch, epoch, base, database, base)
         self._snapshot = snapshot
-        self._record_compaction(reason, mode, epoch, base.count, started)
+        # Publish the new buffer set first, then retire the old epoch: new
+        # readers atomically find the new name while already-attached
+        # readers keep serving from the retired (still-mapped) buffers.  A
+        # partial rebuild's facade carries its template's build report, so
+        # only a full rebuild's report gains the publish stage.
+        published = self._publish_epoch(
+            epoch, report=base.report if mode == "full" else None
+        )
+        self._record_compaction(reason, mode, epoch, base.count, started, published)
         if self._publisher is not None:
-            # Publish the new buffer set first, then retire the old epoch:
-            # new readers atomically find the new name while already-attached
-            # readers keep serving from the retired (still-mapped) buffers.
-            self._publish_epoch(epoch)
             listener = self.publish_listener
             if listener is not None and old_base_epoch != epoch:
                 # The listener owns retiring old_base_epoch (cross-process
@@ -407,14 +418,27 @@ class LiveInstance:
                 self._publisher.retire(old_base_epoch)
         return snapshot
 
-    def _publish_epoch(self, epoch: int) -> None:
+    def _publish_epoch(self, epoch: int, report=None) -> Tuple[float, int]:
+        """Publish the current base's installed image under ``epoch``.
+
+        Returns the publish's ``(seconds, bytes)`` — bytes 0 when nothing
+        was published; ``report`` (the base's build report) also records
+        the seconds as its ``publish`` stage.
+        """
         instance = getattr(self._snapshot.base, "_instance", None)
         if instance is None or self._publisher is None:
-            return
+            return 0.0, 0
+        started = time.perf_counter()
         try:
-            self._publisher.publish(instance, epoch)
+            name = self._publisher.publish(instance, epoch)
         except (FileExistsError, OSError):  # name collision / shm exhausted
-            pass
+            name = None
+        seconds = time.perf_counter() - started
+        if name is None:
+            return seconds, 0
+        if report is not None:
+            record_stage(report, "publish", seconds, instance.count)
+        return seconds, self._publisher.nbytes(epoch)
 
     def close(self) -> None:
         """Unlink any shared-memory buffer sets this instance published."""

@@ -28,6 +28,7 @@ from repro.core.snapshot import (  # noqa: E402
     SnapshotPublisher,
     _encode_values,
     capture,
+    installed,
     serving_stats,
     shm_name,
 )
@@ -167,8 +168,10 @@ class TestCaptureAndExecutor:
         access = LexDirectAccess(QUERY, small_database(), ORDER)
         instance = access._instance
         assert instance._snapshot_image is not None
+        assert installed(instance) is not None
         clone = pickle.loads(pickle.dumps(instance))
         assert getattr(clone, "_snapshot_image", None) is None
+        assert installed(clone) is None
 
     def test_serving_stats_reports_the_installed_carrier(self):
         access = LexDirectAccess(QUERY, small_database(), ORDER)
@@ -176,6 +179,17 @@ class TestCaptureAndExecutor:
         assert stats is not None and stats["carrier"] == "memory"
         access._instance._snapshot_image = None
         assert serving_stats(access._instance) is None
+
+    def test_pickling_a_sharded_instance_drops_the_image(self):
+        access = LexDirectAccess(QUERY, small_database(), ORDER, shards=3)
+        instance = access._instance
+        assert installed(instance) is not None
+        clone = pickle.loads(pickle.dumps(instance))
+        assert installed(clone) is None
+        assert all(
+            getattr(shard, "_snapshot_image", None) is None for shard in clone.shards
+        )
+        assert clone.count == instance.count
 
     def test_sharded_build_installs_one_image_per_shard(self):
         access = LexDirectAccess(QUERY, small_database(), ORDER, shards=3)
@@ -384,3 +398,125 @@ class TestSearcherFromParts:
         assert np.array_equal(
             clone.probe_flat(segments, targets), fresh.probe_flat(segments, targets)
         )
+
+
+# ----------------------------------------------------------------------
+# One capture per build: publish and save reuse the installed image
+# ----------------------------------------------------------------------
+@pytest.fixture
+def assembled(monkeypatch):
+    """Every ``(shard, layer)`` prefix the capture assembly lays out."""
+    import repro.core.snapshot as snapshot_module
+
+    prefixes = []
+    assemble = snapshot_module._assemble_layer
+
+    def counting(prefix, *args):
+        prefixes.append(prefix)
+        return assemble(prefix, *args)
+
+    monkeypatch.setattr(snapshot_module, "_assemble_layer", counting)
+    return prefixes
+
+
+def one_capture(instance):
+    """The assembly calls of exactly one capture of ``instance``."""
+    parts = instance.shards if getattr(instance, "is_sharded", False) else [instance]
+    return sorted(
+        f"s{shard}/L{layer}/"
+        for shard, part in enumerate(parts) for layer in part.layers
+    )
+
+
+def partial_database(backend=None):
+    rows_r = [(x, y) for x in range(12) for y in (x % 3, (x + 1) % 3)]
+    rows_s = [(y, z) for y in range(3) for z in (y, y + 1)]
+    return Database(
+        [Relation("R", ("x", "y"), rows_r), Relation("S", ("y", "z"), rows_s)],
+        backend=backend,
+    )
+
+
+class TestOneCapturePerBuild:
+    @pytest.mark.parametrize("backend", ["row", "columnar"])
+    def test_prepare_with_publishing_captures_once(self, assembled, backend):
+        from repro.service import QueryService
+
+        service = QueryService(max_plans=4, publish_snapshots=True)
+        service.register_database("demo", small_database())
+        try:
+            plan = service.prepare("demo", QUERY, backend=backend, shards=2)
+            instance = plan.engine._snapshot.base._instance
+            assert sorted(assembled) == one_capture(instance)
+            stats = service.stats()["plans"][0]["build"]["stages"]
+            names = [stage["name"] for stage in stats]
+            assert names.index("snapshot") < names.index("publish")
+        finally:
+            service.close()
+
+    def test_publisher_reuses_the_installed_image(self, assembled):
+        access = LexDirectAccess(QUERY, small_database(), ORDER, shards=2)
+        expected = capture(access._instance, fingerprint="reuse", epoch=5).to_bytes()
+        assembled.clear()
+        publisher = SnapshotPublisher(fingerprint="reuse")
+        try:
+            name = publisher.publish(access._instance, epoch=5)
+            assert assembled == []
+            assert publisher.nbytes(5) == len(expected)
+            reader = InstanceSnapshot.attach(name)
+            assert reader.to_bytes() == expected
+            reader.close()
+        finally:
+            publisher.close()
+
+    def test_full_compaction_captures_once(self, assembled):
+        from repro.live import LiveDatabase, LiveInstance
+
+        live = LiveDatabase(small_database())
+        instance = LiveInstance(QUERY, live, ORDER, publish_snapshots=True)
+        try:
+            live.insert("R", [(9, 5)])
+            assembled.clear()
+            record = instance.compact()
+            assert record["mode"] == "full"
+            assert sorted(assembled) == one_capture(instance._snapshot.base._instance)
+            assert record["publish_bytes"] > 0
+            assert 0 < record["publish_seconds"] <= record["seconds"]
+            stages = [stage.name for stage in instance._snapshot.base.report.stages]
+            assert stages[-2:] == ["snapshot", "publish"]
+        finally:
+            instance.close()
+
+    @pytest.mark.parametrize("backend", [None, "columnar"])
+    def test_partial_compaction_captures_once(self, assembled, backend):
+        from repro.live import LiveDatabase, LiveInstance
+
+        live = LiveDatabase(partial_database(backend))
+        instance = LiveInstance(
+            QUERY, live, ORDER, backend=backend, shards=4, publish_snapshots=True
+        )
+        try:
+            live.insert("R", [(0, 2), (1, 0)])  # one shard's leading range
+            assembled.clear()
+            record = instance.compact()
+            assert record["mode"].startswith("partial:")
+            assert sorted(assembled) == one_capture(instance._snapshot.base._instance)
+            assert record["publish_bytes"] > 0
+            # The noop compaction publishes nothing and says so.
+            noop = instance.compact()
+            assert noop["mode"] == "noop"
+            assert (noop["publish_seconds"], noop["publish_bytes"]) == (0.0, 0)
+        finally:
+            instance.close()
+
+    def test_snapshot_save_captures_once(self, assembled, tmp_path, capsys):
+        from repro.cli import main
+
+        expected = one_capture(LexDirectAccess(QUERY, small_database(), ORDER)._instance)
+        assembled.clear()
+        status = main([
+            "snapshot", "save", "Q(x, y, z) :- R(x, y), S(y, z)",
+            "--db", f"demo={db_json(tmp_path)}", "--out", str(tmp_path / "d.rsnp"),
+        ])
+        assert status == 0 and json.loads(capsys.readouterr().out)["ok"]
+        assert sorted(assembled) == expected
