@@ -1039,21 +1039,13 @@ class SnapshotPublisher:
     def publish(self, source, epoch: int) -> Optional[str]:
         """Publish an instance (or prebuilt snapshot) under ``epoch``.
 
-        An instance publishes the image installed at its build, re-stamped
-        with this publisher's fingerprint and the epoch — byte for byte what
-        a fresh capture would write — so the build's capture stays the only
-        one.  Only an instance built outside the executor (no installed
-        image) is captured here; ``None`` when capture declines.
+        An instance publishes the image installed at its build, stamped with
+        the epoch, so the build's capture stays the only one.  ``None`` when
+        the instance carries no image (capture declined at build time).
         """
-        if isinstance(source, InstanceSnapshot):
-            snapshot = source
-        else:
-            snapshot = installed(source)
-            if snapshot is None:
-                snapshot = capture(source, fingerprint=self.fingerprint, epoch=epoch)
-                if snapshot is None:
-                    return None
-            snapshot.manifest["fingerprint"] = self.fingerprint
+        snapshot = source if isinstance(source, InstanceSnapshot) else installed(source)
+        if snapshot is None:
+            return None
         snapshot.manifest["epoch"] = int(epoch)
         block = snapshot.publish(shm_name(self.fingerprint, epoch))
         self._blocks[epoch] = (block, 1)

@@ -456,7 +456,8 @@ class TestOneCapturePerBuild:
 
     def test_publisher_reuses_the_installed_image(self, assembled):
         access = LexDirectAccess(QUERY, small_database(), ORDER, shards=2)
-        expected = capture(access._instance, fingerprint="reuse", epoch=5).to_bytes()
+        fingerprint = installed(access._instance).fingerprint
+        expected = capture(access._instance, fingerprint=fingerprint, epoch=5).to_bytes()
         assembled.clear()
         publisher = SnapshotPublisher(fingerprint="reuse")
         try:
