@@ -1,26 +1,22 @@
-"""Event-loop vs threaded serving under concurrent keep-alive connections.
+"""Event-loop serving under concurrent keep-alive connections.
 
 Two phases, in order, writing ``BENCH_async_serving.json``:
 
 1. **Identity** — the same mixed Zipf workload replayed sequentially against
-   an event-loop server, a threaded server, an event-loop server with a
-   worker pool (when available), and an in-process reference service; the
-   canonical responses (traces stripped) must agree byte-for-byte *before*
-   anything is timed.  A mismatch aborts the run.
+   an event-loop server, an event-loop server with a worker pool (when
+   available), and an in-process reference service; the canonical responses
+   (traces stripped) must agree byte-for-byte *before* anything is timed.  A
+   mismatch aborts the run.
 2. **Scaling** — C ∈ {1, 8, 64, 256} keep-alive clients replay the workload
-   against each front-end subprocess.  Every cell records wall-clock
+   against the event-loop subprocess.  Every cell records wall-clock
    throughput plus the server's ``/proc`` story: master CPU-seconds over the
-   run, peak thread count, peak FD count.  On a 1-CPU container the two
-   front-ends serialize onto the same core, so the artifact's argument is
-   per-request master-CPU-seconds and thread counts (one loop thread +
-   executor vs. one thread per connection); CI's multicore runner asserts
-   the wall-clock version via ``--assert-scaling`` at C=64.
+   run, peak thread count, peak FD count — one loop thread plus a small
+   executor, whatever C is.
 
 Run standalone for the canonical artifact::
 
     PYTHONPATH=src python benchmarks/bench_async_serving.py [n] [requests]
     PYTHONPATH=src python benchmarks/bench_async_serving.py --smoke
-    PYTHONPATH=src python benchmarks/bench_async_serving.py --assert-scaling
 """
 
 from __future__ import annotations
@@ -99,12 +95,9 @@ def run_bench(
         reference.register_database("bench", database)
         servers = {}
         try:
-            servers["event"] = ServeProcess(db_path, io_loop="event")
-            servers["threaded"] = ServeProcess(db_path, io_loop="threaded")
+            servers["event"] = ServeProcess(db_path)
             if with_pool and pool_supported():
-                servers["event+workers"] = ServeProcess(
-                    db_path, io_loop="event", workers=2
-                )
+                servers["event+workers"] = ServeProcess(db_path, workers=2)
 
             fingerprint = count = None
             for label, server in servers.items():
@@ -136,18 +129,17 @@ def run_bench(
             payloads = make_requests(
                 fingerprint, count, num_requests, skew=ZIPF_SKEW, seed=seed,
             )
+            server = servers["event"]
             for concurrency in concurrency_levels:
-                for label in ("event", "threaded"):
-                    server = servers[label]
-                    result = run_fleet(
-                        server.base_url, payloads, concurrency,
-                        pid=server.pid, io_loop=label,
+                result = run_fleet(
+                    server.base_url, payloads, concurrency, pid=server.pid,
+                    label=f"event C={concurrency}",
+                )
+                if result.errors:
+                    raise AssertionError(
+                        f"{result.label}: {result.errors} failed requests"
                     )
-                    if result.errors:
-                        raise AssertionError(
-                            f"{result.label}: {result.errors} failed requests"
-                        )
-                    results.append(result)
+                results.append(result)
         finally:
             for server in servers.values():
                 server.stop()
@@ -182,7 +174,6 @@ def print_results(results, document) -> None:
     rows = []
     for entry in document["runs"]:
         rows.append((
-            entry["io_loop"],
             entry["concurrency"],
             f"{entry['throughput_rps']:,.0f}",
             entry.get("cpu_us_per_request", "-"),
@@ -192,14 +183,11 @@ def print_results(results, document) -> None:
     print()
     print(
         format_table(
-            ["front-end", "C", "req/s", "cpu µs/req", "threads", "fds"],
+            ["C", "req/s", "cpu µs/req", "threads", "fds"],
             rows,
             title="connection scaling (keep-alive clients, mixed Zipf reads)",
         )
     )
-    for cell, ratios in sorted(document["comparison"].items()):
-        parts = [f"{key}={value}" for key, value in sorted(ratios.items())]
-        print(f"{cell}: {', '.join(parts)}")
 
 
 # ----------------------------------------------------------------------
@@ -217,15 +205,14 @@ if pytest is not None:
         print_results(results, document)
         assert scratch.exists()
         assert document["identity"]["mismatches"] == []
-        assert {run["io_loop"] for run in document["runs"]} == {"event", "threaded"}
+        assert [run["concurrency"] for run in document["runs"]] == [1, 8]
         assert all(run["errors"] == 0 for run in document["runs"])
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     smoke = "--smoke" in argv
-    assert_scaling = "--assert-scaling" in argv
-    argv = [a for a in argv if a not in ("--smoke", "--assert-scaling")]
+    argv = [a for a in argv if a != "--smoke"]
     seed = DEFAULT_SEED
     if "--seed" in argv:
         position = argv.index("--seed")
@@ -247,22 +234,6 @@ def main(argv=None):
     )
     print_results(results, document)
     print(f"\nwrote {ARTIFACT}")
-
-    if assert_scaling:
-        # Wall-clock only separates the front-ends on a multicore host; a
-        # 1-CPU builder serializes both onto the same core, where the
-        # artifact's CPU-seconds/thread-count columns carry the argument.
-        cores = os.cpu_count() or 1
-        if cores < 4:
-            print(f"--assert-scaling skipped: only {cores} CPU(s)")
-            return 0
-        gate_c = 64 if 64 in concurrency_levels else max(concurrency_levels)
-        cell = document["comparison"].get(f"C={gate_c}", {})
-        ratio = cell.get("throughput_ratio_event_vs_threaded")
-        print(f"C={gate_c} event/threaded throughput ratio: {ratio}")
-        assert ratio is not None and ratio >= 1.0, (
-            f"event loop slower than threaded at C={gate_c}: {ratio}"
-        )
     return 0
 
 

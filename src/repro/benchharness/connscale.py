@@ -1,10 +1,9 @@
 """Connection-scaling harness: C keep-alive clients against a serve process.
 
-The event-loop front-end's claim is not "Python got faster" — it is that one
-thread multiplexing C connections beats C threads blocking on C sockets, and
-that the gap widens with C.  This harness measures exactly that, end to end,
-against *subprocess* servers (``repro serve --io-loop event|threaded``) so
-the server's own resource story is observable from the outside:
+The event-loop front-end's claim is that one thread multiplexes C
+connections without a thread per client.  This harness measures it end to
+end against *subprocess* servers (``repro serve``), so the server's own
+resource story is observable from the outside:
 
 * :class:`ServeProcess` — spawns ``repro serve`` on an ephemeral port and
   parses the bound address off its stdout banner.
@@ -15,18 +14,16 @@ the server's own resource story is observable from the outside:
 * :func:`sample_process` / a background monitor — ``/proc/<pid>/stat``
   CPU-seconds (utime+stime over ``SC_CLK_TCK``), ``/proc/<pid>/status``
   thread counts and ``/proc/<pid>/fd`` entry counts, sampled through the
-  run.  On a 1-CPU container wall-clock cannot separate the front-ends (both
-  serialize onto the core), so the artifact argues with master CPU-seconds
-  per request and idle-thread/FD counts; CI's multicore runner asserts the
-  wall-clock version.
+  run, so the artifact reports master CPU-seconds per request and
+  thread/FD counts beside wall-clock throughput.
 * :func:`verify_http_identity` — the same workload replayed sequentially
   against every server *and* an in-process reference service; canonical
   responses (traces stripped) must match byte-for-byte before anything is
   timed.
 
 Results serialize to ``BENCH_async_serving.json`` via
-:func:`write_async_serving`, with per-concurrency event-vs-threaded ratios
-and ``connection_reuse`` recorded in the metadata.
+:func:`write_async_serving`, with ``connection_reuse`` recorded in the
+metadata.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ class ServeProcess:
     def __init__(
         self,
         db_path: str,
-        io_loop: str = "threaded",
         workers: int = 0,
         extra_args: Sequence[str] = (),
         startup_timeout: float = 30.0,
@@ -71,12 +67,10 @@ class ServeProcess:
             sys.executable, "-c",
             "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
             "serve", "--db", f"bench={db_path}", "--port", "0",
-            "--io-loop", io_loop,
         ]
         if workers > 0:
             command += ["--workers", str(workers)]
         command += list(extra_args)
-        self.io_loop = io_loop
         self.process = subprocess.Popen(
             command, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True,
@@ -194,10 +188,9 @@ class _ProcMonitor:
 # ----------------------------------------------------------------------
 @dataclass
 class ConnScaleResult:
-    """One timed cell: a front-end at one concurrency level."""
+    """One timed cell: a server at one concurrency level."""
 
     label: str
-    io_loop: str
     concurrency: int
     requests: int
     seconds: float
@@ -219,7 +212,6 @@ class ConnScaleResult:
     def to_dict(self) -> Dict[str, object]:
         entry: Dict[str, object] = {
             "label": self.label,
-            "io_loop": self.io_loop,
             "concurrency": self.concurrency,
             "requests": self.requests,
             "seconds": round(self.seconds, 6),
@@ -241,7 +233,6 @@ def run_fleet(
     payloads: Sequence[Mapping],
     concurrency: int,
     pid: Optional[int] = None,
-    io_loop: str = "?",
     label: str = "",
 ) -> ConnScaleResult:
     """Replay ``payloads`` from ``concurrency`` keep-alive clients.
@@ -293,8 +284,7 @@ def run_fleet(
     if before is not None and after is not None:
         cpu = max(0.0, after["cpu_seconds"] - before["cpu_seconds"])
     return ConnScaleResult(
-        label=label or f"{io_loop} C={concurrency}",
-        io_loop=io_loop,
+        label=label or f"C={concurrency}",
         concurrency=concurrency,
         requests=len(payloads),
         seconds=elapsed,
@@ -377,41 +367,8 @@ def write_async_serving(
     results: Sequence[ConnScaleResult],
     metadata: Optional[Mapping[str, object]] = None,
 ) -> Dict[str, object]:
-    """Serialize the connection-scaling runs plus event-vs-threaded ratios.
-
-    For every concurrency level present in both front-ends, the comparison
-    block carries the event/threaded throughput ratio and the threaded/event
-    master-CPU-seconds ratio — the acceptance numbers are read straight off
-    the artifact on both 1-CPU (CPU ratio) and multicore (throughput ratio)
-    hosts.
-    """
+    """Serialize the identity check and the connection-scaling runs."""
     runs = [result.to_dict() for result in results]
-    by_cell: Dict[tuple, ConnScaleResult] = {
-        (result.io_loop, result.concurrency): result for result in results
-    }
-    comparison: Dict[str, Dict[str, object]] = {}
-    for result in results:
-        if result.io_loop != "event":
-            continue
-        threaded = by_cell.get(("threaded", result.concurrency))
-        if threaded is None:
-            continue
-        cell: Dict[str, object] = {}
-        if threaded.seconds > 0:
-            cell["throughput_ratio_event_vs_threaded"] = round(
-                result.throughput / threaded.throughput, 3
-            )
-        if (result.master_cpu_seconds is not None
-                and threaded.master_cpu_seconds
-                and result.master_cpu_seconds > 0):
-            cell["cpu_seconds_ratio_threaded_vs_event"] = round(
-                threaded.master_cpu_seconds / result.master_cpu_seconds, 3
-            )
-        if (result.threads_peak is not None
-                and threaded.threads_peak is not None):
-            cell["threads_peak_event"] = result.threads_peak
-            cell["threads_peak_threaded"] = threaded.threads_peak
-        comparison[f"C={result.concurrency}"] = cell
     metadata = dict(metadata or {})
     metadata.setdefault("connection_reuse", "keep-alive")
     document: Dict[str, object] = {
@@ -419,7 +376,6 @@ def write_async_serving(
         "metadata": metadata,
         "identity": dict(identity),
         "runs": runs,
-        "comparison": comparison,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)

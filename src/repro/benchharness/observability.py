@@ -238,7 +238,7 @@ def run_observability_bench(
             # HTTP phase: the same scalar workload (truncated — wire requests
             # are ~30× slower than in-process dispatch) through the real
             # front-end, against the same ephemeral server.
-            from repro.service.httpd import make_server
+            from repro.service import make_server
 
             http_ranks = ranks[:max(64, len(ranks) // 8)]
             server = make_server(service, port=0)

@@ -135,9 +135,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     _add_backend(parser, " used for plans that do not name one")
     _add_shards(parser, " (default for plans that do not name a count)")
     parser.add_argument(
-        "--verbose", action="store_true", help="log one line per HTTP request"
-    )
-    parser.add_argument(
         "--slow-query-ms",
         type=float,
         default=None,
@@ -201,19 +198,18 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--io-loop",
-        choices=("threaded", "event"),
-        default="threaded",
-        help="HTTP front-end: 'threaded' (one thread per connection, the "
-        "default) or 'event' (a single non-blocking event loop multiplexing "
-        "every connection and the worker pool's serve sockets)",
+        choices=("event",),
+        default="event",
+        help="kept for compatibility with existing command lines: the "
+        "single non-blocking event loop is the only HTTP front-end",
     )
     parser.add_argument(
         "--max-connections",
         type=int,
         default=1024,
         metavar="N",
-        help="event loop only: open connections accepted before new ones "
-        "are refused with a structured 503 (default 1024)",
+        help="open connections accepted before new ones are refused with a "
+        "structured 503 (default 1024)",
     )
     parser.add_argument(
         "--header-timeout",
@@ -407,9 +403,8 @@ def serve_main(argv: List[str]) -> int:
     import signal
     import threading
 
-    from repro.service import make_server
+    from repro.service.eventloop import make_server, run_server
     from repro.service.gates import AdmissionGate
-    from repro.service.httpd import run_server
 
     if args.no_obs:
         from repro.obs import set_enabled
@@ -455,9 +450,8 @@ def serve_main(argv: List[str]) -> int:
     max_body = max(1, int(args.max_body_mb * 1024 * 1024))
     try:
         server = make_server(service, args.host, args.port,
-                             quiet=not args.verbose, max_body=max_body,
+                             max_body=max_body,
                              reuse_port=args.reuse_port,
-                             io_loop=args.io_loop,
                              header_timeout=args.header_timeout,
                              max_connections=args.max_connections)
     except OSError as exc:
@@ -480,10 +474,9 @@ def serve_main(argv: List[str]) -> int:
             pass
     host, port = server.server_address[:2]
     workers_note = f", workers: {pool.worker_count}" if pool is not None else ""
-    loop_note = ", io-loop: event" if args.io_loop == "event" else ""
     print(f"repro serve: listening on http://{host}:{port} "
           f"(databases: {', '.join(service.database_names) or 'none'}"
-          f"{workers_note}{loop_note})", flush=True)
+          f"{workers_note})", flush=True)
     from repro.obs.profile import PROFILER
 
     profile_note = (f"; profiling at {PROFILER.hz:g}Hz (/debug/profile)"

@@ -323,23 +323,6 @@ class Tracer:
             root.children.append(span)
         return True
 
-    def attach_span(self, trace_id: str, span: Span) -> bool:
-        """Graft a finished span subtree onto an already-retained trace.
-
-        The cross-process variant of :meth:`annotate`: a worker's
-        shipped span tree can arrive after the master's trace was retained
-        (the threaded front-end retains before writing the response).
-        Returns ``False`` when the trace aged out of the ring.
-        """
-        if not self.enabled:
-            return False
-        with self._lock:
-            record = self._traces.get(trace_id)
-        if record is None:
-            return False
-        record[0].children.append(span)
-        return True
-
     def event(self, name: str, seconds: float, rows: Optional[int] = None) -> None:
         """Attach an externally timed, already-finished span to the current one.
 

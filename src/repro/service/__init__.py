@@ -10,12 +10,10 @@ keeps preprocessed instances alive and serves many requests against them:
   / one-shot ``selection`` requests, thread-safely.
 * :mod:`repro.service.protocol` — canonical plan fingerprints and the JSON
   request/response encoding shared by all front-ends.
-* :mod:`repro.service.httpd` — a stdlib-only threaded HTTP front-end
-  (``repro serve``).
-* :mod:`repro.service.eventloop` — the non-blocking selectors-based
-  front-end (``repro serve --io-loop event``): one thread multiplexes every
-  connection and the pool's worker sockets; worker responses pass through
-  zero-copy.
+* :mod:`repro.service.eventloop` — the HTTP front-end (``repro serve``,
+  :func:`make_server`): one non-blocking selectors-based thread multiplexes
+  every connection and the pool's worker sockets; worker responses pass
+  through zero-copy.
 * :mod:`repro.service.client` — :class:`HTTPSession`, the keep-alive JSON
   client used by ``repro client`` and the benchmark harnesses.
 * :mod:`repro.service.pool` — a prefork :class:`WorkerPool`: worker
@@ -57,8 +55,7 @@ from repro.service.protocol import (
     read_request_lines,
 )
 from repro.service.service import PreparedPlan, QueryService, run_requests
-from repro.service.httpd import ServiceHTTPServer, make_server, serve
-from repro.service.eventloop import EventLoopHTTPServer
+from repro.service.eventloop import EventLoopHTTPServer, make_server
 from repro.service.client import HTTPSession
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "ROUTABLE_OPS",
     "STATUS_BY_CODE",
     "ServiceError",
-    "ServiceHTTPServer",
     "WorkerPool",
     "classify_build",
     "database_from_json",
@@ -87,5 +83,4 @@ __all__ = [
     "pool_supported",
     "read_request_lines",
     "run_requests",
-    "serve",
 ]

@@ -362,7 +362,7 @@ def pack_response_frame(seq: int, status: int, body: bytes,
 def decode_shipped_spans(span_len: int, span_bytes: bytes):
     """The master-side end of span shipping: frame fields → ``Span`` or ``None``.
 
-    Shared by both serve paths (the threaded roundtrip and the event loop's
+    Shared by both serve paths (the blocking roundtrip and the event loop's
     incremental frame parser) so the shipped/dropped counters are bumped in
     exactly one place.  A :data:`SPAN_DROPPED` sentinel or a corrupt payload
     yields ``None`` — tracing degradation never fails a response.

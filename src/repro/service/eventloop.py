@@ -1,10 +1,9 @@
-"""A selectors-based event-loop HTTP front-end for the query service.
+"""The HTTP front-end of the query service: a selectors-based event loop.
 
-The threaded front-end (:mod:`repro.service.httpd`) pins one OS thread per
-connection: an idle keep-alive socket costs a thread, a worker-pipe
-round-trip blocks a thread, and concurrency is capped by thread count
-rather than by actual CPU work.  This module replaces that accept path with
-a **single-threaded event loop** (``repro serve --io-loop event``):
+``repro serve`` runs one **single-threaded event loop** instead of one OS
+thread per connection, so an idle keep-alive socket costs no thread, a
+worker round-trip blocks nobody, and concurrency is bounded by CPU work
+rather than by thread count:
 
 * One ``selectors.DefaultSelector`` owns the listening socket, every client
   connection, the worker pool's serve sockets, and a self-pipe for
@@ -34,10 +33,30 @@ a **single-threaded event loop** (``repro serve --io-loop event``):
 * Pipelined requests are drained iteratively, a bounded burst per connection
   per selector round, and an unexpected exception in one event's handler
   costs that connection, never the loop.
-* Protocol edges answer structured errors instead of exhausting threads:
-  header-read timeouts → 408 (``Connection: close``), connection cap → 503,
-  ``Transfer-Encoding: chunked`` → 501, missing ``Content-Length`` → 411,
-  oversized bodies → 413.
+* Protocol edges answer structured errors: header-read timeouts → 408
+  (``Connection: close``), connection cap → 503, ``Transfer-Encoding:
+  chunked`` → 501, missing ``Content-Length`` → 411, a malformed or
+  conflicting ``Content-Length`` → 400, oversized bodies → 413.
+
+Endpoints (JSON unless noted):
+
+* ``GET  /healthz`` — liveness; with a pool, also a worker health sweep (dead
+  workers respawn) and per-worker state.
+* ``GET  /readyz`` — 200 only when every worker is attached at the current
+  epoch and the pool is not draining; 503 otherwise, with the detail.
+* ``GET  /debug/profile`` — merged folded stacks of the sampling profiler
+  (master + every worker), plain text, ready for ``flamegraph.pl``.
+* ``GET  /metrics`` — Prometheus text exposition, with each worker's
+  ``repro_pool_worker_*`` families appended.
+* ``GET  /v1/metrics``, ``/v1/stats``, ``/v1/databases`` — the ops of the
+  same names.
+* ``POST /v1/query`` — the generic request object (``{"op": ...}``);
+  ``POST /v1/<op>`` names the op in the path; ``POST /v1/databases``
+  registers a database.
+
+Error bodies are ``{"ok": false, "error": {"code", "message"}}`` with the
+status from :data:`~repro.service.protocol.STATUS_BY_CODE`; an
+``overloaded`` shed adds ``Retry-After``.
 
 Observability: the loop exports ``repro_loop_lag_seconds`` (heartbeat
 scheduling delay), ``repro_loop_open_connections`` /
@@ -52,10 +71,9 @@ worker-encoded and must not be touched) return the id in an
 ``X-Repro-Trace`` header, with queue-wait vs worker-time vs write-time spans
 visible via ``repro trace <id>``.
 
-The public surface mirrors :class:`~repro.service.httpd.ServiceHTTPServer`
-(``server_address``, ``serve_forever``, ``shutdown``, ``server_close``,
-``drain``), so ``repro serve --io-loop event|threaded`` stays switchable for
-bisection and every existing harness runs unchanged against either.
+Lifecycle: :func:`make_server` binds, ``serve_forever`` runs the loop (usually
+on a dedicated thread), ``shutdown`` stops accepting and lets in-flight
+requests finish (bounded), then ``server_close``.
 """
 
 from __future__ import annotations
@@ -223,8 +241,7 @@ class _WorkerChannel:
 class EventLoopHTTPServer:
     """Single-threaded non-blocking front-end over one :class:`QueryService`.
 
-    Surface-compatible with :class:`~repro.service.httpd.ServiceHTTPServer`:
-    bind at construction, run with :meth:`serve_forever` (usually on a
+    Bind at construction, run with :meth:`serve_forever` (usually on a
     dedicated thread), stop with :meth:`shutdown`, then :meth:`server_close`.
     """
 
@@ -232,7 +249,6 @@ class EventLoopHTTPServer:
         self,
         address: Tuple[str, int],
         service: QueryService,
-        quiet: bool = True,
         max_body: int = _MAX_BODY,
         reuse_port: bool = False,
         max_connections: int = 1024,
@@ -242,7 +258,6 @@ class EventLoopHTTPServer:
         drain_grace: float = 10.0,
     ) -> None:
         self.service = service
-        self.quiet = quiet
         self.max_body = max_body
         self.max_connections = max_connections
         self.header_timeout = header_timeout
@@ -296,7 +311,7 @@ class EventLoopHTTPServer:
         self._date_bytes = b""
 
     # ------------------------------------------------------------------
-    # Lifecycle (surface-compatible with ServiceHTTPServer)
+    # Lifecycle
     # ------------------------------------------------------------------
     @property
     def inflight(self) -> int:
@@ -643,10 +658,14 @@ class EventLoopHTTPServer:
             return False
         conn.method, conn.path, version = parts
         headers: Dict[str, str] = {}
+        conflicting_length = False
         for line in lines[1:]:
             name, sep, value = line.partition(":")
             if sep:
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                if name == "content-length" and headers.get(name, value) != value:
+                    conflicting_length = True
+                headers[name] = value
         conn.headers = headers
         conn.headers_parsed = True
         # Keep-alive: HTTP/1.1 default-on, HTTP/1.0 default-off.
@@ -667,20 +686,23 @@ class EventLoopHTTPServer:
                 "Transfer-Encoding: chunked is not supported; "
                 "send a Content-Length body", close=True)
             return False
-        raw_length = headers.get("content-length")
-        try:
-            conn.content_length = int(raw_length) if raw_length is not None else 0
-        except ValueError:
+        # RFC 9112 §6.3: several differing Content-Length values, or one
+        # that is not 1*DIGIT, leave the framing unknowable — refuse, close.
+        if conflicting_length:
             self._respond_error(conn, 400, "bad_request",
-                                f"invalid Content-Length {raw_length!r}",
-                                close=True)
+                                "conflicting Content-Length values", close=True)
             return False
-        if conn.method == "POST" and raw_length is None:
-            self._respond_error(
-                conn, 411, "length_required",
-                "POST requests need a Content-Length header", close=True)
-            return False
-        if conn.content_length < 0:
+        raw_length = headers.get("content-length")
+        if raw_length is None:
+            if conn.method == "POST":
+                self._respond_error(
+                    conn, 411, "length_required",
+                    "POST requests need a Content-Length header", close=True)
+                return False
+            conn.content_length = 0
+        elif raw_length.isascii() and raw_length.isdigit():
+            conn.content_length = int(raw_length)
+        else:
             self._respond_error(conn, 400, "bad_request",
                                 f"invalid Content-Length {raw_length!r}",
                                 close=True)
@@ -1264,8 +1286,32 @@ class EventLoopHTTPServer:
                     self._submit(conn, self._job_execute, request)
 
 
-def run_event_server(server: EventLoopHTTPServer) -> None:
-    """Run a bound event-loop server until interrupted, then close it."""
+def make_server(
+    service: QueryService,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    max_body: int = _MAX_BODY,
+    reuse_port: bool = False,
+    header_timeout: float = 30.0,
+    max_connections: int = 1024,
+) -> EventLoopHTTPServer:
+    """Bind (but do not run) a server; ``port=0`` picks a free port.
+
+    The bound port is ``server.server_address[1]`` — tests and scripts can
+    start the server on an ephemeral port and discover it afterwards.
+    ``reuse_port`` sets ``SO_REUSEPORT`` before binding, so several
+    independent ``repro serve`` processes can share one port and let the
+    kernel spread connections (see the README's multi-process section for
+    the caveats versus ``--workers``).
+    """
+    return EventLoopHTTPServer(
+        (host, port), service, max_body=max_body, reuse_port=reuse_port,
+        max_connections=max_connections, header_timeout=header_timeout,
+    )
+
+
+def run_server(server: EventLoopHTTPServer) -> None:
+    """Run a bound server until interrupted, then close it cleanly."""
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive

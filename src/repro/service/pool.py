@@ -10,8 +10,8 @@ Architecture (master-dispatch over per-worker pipes):
   length-prefixed request/response frames, see
   :mod:`repro.service.dispatch`).  The frame protocol is what lets the
   event-loop front-end register worker sockets in its selector and read
-  replies incrementally without blocking; the threaded front-end drives the
-  same frames synchronously.
+  replies incrementally without blocking; the blocking :meth:`dispatch`
+  drives the same frames synchronously.
 * When a LEX plan with a published shared-memory image is prepared, the
   master **exports** it: every worker attaches the ``(fingerprint, epoch)``
   block by name — an O(1) map (:meth:`InstanceSnapshot.attach`), no pickling,
@@ -359,10 +359,10 @@ class _Worker:
         self.index = index
         self.process = None
         self.conn = None         # control pipe (locked request→reply)
-        self.serve_sock = None   # frame socket (threaded or event-loop serve)
+        self.serve_sock = None   # frame socket (blocking or event-loop serve)
         self.lock = threading.Lock()
         self.serve_lock = threading.Lock()
-        #: frame correlation ids; shared by the threaded and event-loop
+        #: frame correlation ids; shared by the blocking and event-loop
         #: serve paths (``next()`` is atomic under the GIL), unique per
         #: in-flight frame on this worker's socket.
         self.seq = itertools.count(1)
@@ -820,7 +820,7 @@ class WorkerPool:
 
     def _serve_roundtrip(self, worker: _Worker, request: Mapping,
                          trace_id: Optional[str] = None) -> Optional[Tuple]:
-        """One blocking frame exchange on the serve socket (threaded path).
+        """One blocking frame exchange on the serve socket (:meth:`dispatch`).
 
         Returns ``(status, body bytes, shipped Span | None)``; the span slot
         carries the worker's stitched-in subtree when the request traveled

@@ -12,8 +12,8 @@ structures are read-only), so any number of threads may serve requests from
 the same plan concurrently; the only synchronization is inside the plan cache
 (build coalescing), the service's registration lock, and the lazy
 materialization lock of enumeration plans.  This is what the HTTP front-end
-(:mod:`repro.service.httpd`) relies on when it dispatches each connection on
-its own thread.
+(:mod:`repro.service.eventloop`) relies on when it answers small reads on its
+loop thread while executor threads build, mutate and serve the rest.
 
 Database re-registration bumps a generation counter; cached plans of older
 generations are dropped immediately and any in-flight fingerprint transparently

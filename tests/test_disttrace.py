@@ -5,8 +5,8 @@ back with the worker's span subtree stitched under the master's request
 trace (labelled with worker id and pid), the stitching must survive a
 worker being SIGKILLed and respawned, an oversize subtree must be dropped
 with a counter — never by corrupting the response — and a traced run must
-answer bit-identically to an untraced one across backends, shard counts and
-both HTTP front-ends.  The stdlib sampling profiler and the tracemalloc
+answer bit-identically to an untraced one across backends and shard counts,
+in-process and over HTTP.  The stdlib sampling profiler and the tracemalloc
 build-memory attribution are unit-tested at the bottom.
 """
 
@@ -218,7 +218,7 @@ class TestSpanOverflow:
 @needs_pool
 class TestTracedUntracedIdentity:
     """Tracing must never change an answer: property-checked across
-    backends × shard counts × both HTTP front-ends."""
+    backends × shard counts, over HTTP."""
 
     def _read_requests(self, fingerprint, count):
         return [
@@ -235,9 +235,8 @@ class TestTracedUntracedIdentity:
             {"op": "inverted_access", "plan": fingerprint, "t": [1, 2, 5]},
         ]
 
-    @pytest.mark.parametrize("io_loop", ["threaded", "event"])
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_traced_equals_untraced_over_http(self, io_loop, shards):
+    def test_traced_equals_untraced_over_http(self, shards):
         from repro.engine.backends import available_backends
 
         for backend in available_backends():
@@ -246,7 +245,7 @@ class TestTracedUntracedIdentity:
             pool = WorkerPool(workers=2)
             service.attach_pool(pool)
             assert pool.start()
-            server = make_server(service, "127.0.0.1", 0, io_loop=io_loop)
+            server = make_server(service, "127.0.0.1", 0)
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
             try:
@@ -280,7 +279,7 @@ class TestTracedUntracedIdentity:
                         ]
                 assert streams[True] == streams[False], (
                     f"tracing changed an answer "
-                    f"({backend}, shards={shards}, {io_loop})"
+                    f"({backend}, shards={shards})"
                 )
             finally:
                 set_enabled(True)
@@ -422,7 +421,7 @@ class TestProfileService:
         assert not response.get("ok")
 
     def test_readiness_and_debug_profile_endpoints(self, pooled, plan):
-        server = make_server(pooled, "127.0.0.1", 0, io_loop="threaded")
+        server = make_server(pooled, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

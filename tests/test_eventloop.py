@@ -4,8 +4,9 @@ A real :class:`EventLoopHTTPServer` runs on an ephemeral port and is driven
 both through the polite path (:class:`HTTPSession` keep-alive JSON clients)
 and through raw sockets that misbehave on purpose: pipelined bursts,
 slow-loris header dribbles, oversized bodies, and mid-request disconnects.
-Everything the threaded front-end answers, the event loop must answer
-byte-identically (traces aside) — that identity is asserted here too.
+Every document the server answers must equal what in-process
+:meth:`QueryService.execute` answers for the same request (traces aside) —
+that identity is asserted here too.
 """
 
 import json
@@ -43,8 +44,8 @@ def make_service():
 class running_server:
     """Start a server on an ephemeral port; stop and join on exit."""
 
-    def __init__(self, service, io_loop="event", **kwargs):
-        self.server = make_server(service, "127.0.0.1", 0, io_loop=io_loop, **kwargs)
+    def __init__(self, service, **kwargs):
+        self.server = make_server(service, "127.0.0.1", 0, **kwargs)
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -150,7 +151,7 @@ def over_threshold_ranks(count):
 
 
 # ----------------------------------------------------------------------
-# Endpoint parity and identity with the threaded front-end
+# Endpoint parity and identity with in-process execution
 # ----------------------------------------------------------------------
 class TestParity:
     def test_healthz_and_metrics(self, server):
@@ -180,7 +181,7 @@ class TestParity:
             status, document = session.post_json("/v1/query", {"op": "nope"})
             assert status == 400 and "unknown op" in document["error"]["message"]
 
-    def test_answers_identical_to_threaded_front_end(self):
+    def test_answers_identical_to_in_process_execute(self):
         requests = [
             {"op": "prepare", "db": "demo", "query": QUERY_TEXT, "order": "x, y, z"},
             {"op": "access", "db": "demo", "query": QUERY_TEXT, "order": "x, y, z",
@@ -195,23 +196,29 @@ class TestParity:
             {"op": "nope"},
         ]
 
-        def replay(io_loop):
+        def canonical(document):
+            document.pop("trace", None)
+            return json.dumps(document, sort_keys=True)
+
+        def over_http():
             service = make_service()
-            answers = []
             try:
-                with running_server(service, io_loop=io_loop) as server:
+                with running_server(service) as server:
                     with HTTPSession(base_url(server)) as session:
-                        for payload in requests:
-                            _status, document = session.post_json(
-                                "/v1/query", dict(payload)
-                            )
-                            document.pop("trace", None)
-                            answers.append(json.dumps(document, sort_keys=True))
+                        return [canonical(session.post_json("/v1/query", dict(payload))[1])
+                                for payload in requests]
             finally:
                 service.close()
-            return answers
 
-        assert replay("event") == replay("threaded")
+        def in_process():
+            service = make_service()
+            try:
+                return [canonical(service.execute(dict(payload)))
+                        for payload in requests]
+            finally:
+                service.close()
+
+        assert over_http() == in_process()
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +378,35 @@ class TestProtocolEdges:
             status, _headers, document = read_full_response(sock)
             assert status == 411
             assert document["error"]["code"] == "length_required"
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("lengths, status", [
+        (["1_9"], 400),        # int() would accept it
+        (["+19"], 400),        # ... and this
+        (["999", "19"], 400),  # the last value must not win
+        (["19", "999"], 400),
+        (["19", "19"], 200),   # repeated, but one value
+    ], ids=["underscore", "plus-sign", "conflict", "conflict-reversed", "repeated"])
+    def test_content_length_must_be_one_run_of_digits(self, server, lengths, status):
+        """RFC 9112 §6.3: a Content-Length that is not ``1*DIGIT``, or several
+        that differ, leave the message framing unknowable: 400, then close."""
+        body = b'{"op": "databases"}'
+        assert len(body) == 19
+        sock = connect(server)
+        try:
+            sock.sendall(b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+                         + b"".join(b"Content-Length: " + value.encode() + b"\r\n"
+                                    for value in lengths)
+                         + b"\r\n" + body)
+            got, headers, document = read_full_response(sock)
+            assert got == status
+            if status == 400:
+                assert document["error"]["code"] == "bad_request"
+                assert headers.get("connection") == "close"
+                assert sock.recv(1) == b""
+            else:
+                assert document["ok"]
         finally:
             sock.close()
 
@@ -595,7 +631,7 @@ class TestLimitsAndShutdown:
                     keeper.close()
 
     def test_shutdown_drains_in_flight_requests(self, service):
-        server = make_server(service, "127.0.0.1", 0, io_loop="event")
+        server = make_server(service, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

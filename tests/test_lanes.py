@@ -42,8 +42,8 @@ def path_database(rows=40):
 class serving:
     """A server thread over ``service``; yields ``(server, loop thread)``."""
 
-    def __init__(self, service, io_loop="event"):
-        self.server = make_server(service, "127.0.0.1", 0, io_loop=io_loop)
+    def __init__(self, service):
+        self.server = make_server(service, "127.0.0.1", 0)
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     def __enter__(self):
@@ -405,8 +405,7 @@ class TestHandOffsAndIdentity:
                 assert document["stats"]["lanes"]["loop"] >= 1000
                 assert document["stats"]["lanes"]["worker"] >= 1000
 
-    @pytest.mark.parametrize("io_loop", ["event", "threaded"])
-    def test_three_lanes_one_body(self, pooled, io_loop):
+    def test_three_lanes_one_body(self, pooled):
         plan = pooled.prepare("demo", PATH_QUERY, order="x, y, z")
         fingerprint, count = plan.fingerprint, plan.count
         requests = [
@@ -425,7 +424,7 @@ class TestHandOffsAndIdentity:
             document.pop("trace", None)
             return json.dumps(document).encode("utf-8")
 
-        with serving(pooled, io_loop) as (server, _thread):
+        with serving(pooled) as (server, _thread):
             with HTTPSession(base_url(server)) as session:
                 for request in requests:
                     loop_lane = LOOP_LANES.value(("loop",))

@@ -304,17 +304,6 @@ class TestHTTPExposition:
         }
         assert errors[("invalid", "404")] == 1
 
-    def test_quiet_flag_controls_request_logging(self, service):
-        # `repro serve --verbose` passes quiet=False through make_server.
-        quiet_server = make_server(service, port=0)
-        verbose_server = make_server(service, port=0, quiet=False)
-        try:
-            assert quiet_server.quiet is True
-            assert verbose_server.quiet is False
-        finally:
-            quiet_server.server_close()
-            verbose_server.server_close()
-
 
 # ----------------------------------------------------------------------
 # Equivalence: obs on/off answers

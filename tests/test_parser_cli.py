@@ -1,7 +1,15 @@
 """Tests for the query/order/FD text parser and the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.cli import build_serve_parser
 from repro.cli import main as cli_main
 from repro.core.parser import parse_fds, parse_order, parse_query
 from repro.exceptions import FunctionalDependencyError, QueryStructureError
@@ -176,3 +184,28 @@ class TestCLIVersionAndUsage:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["serve", "--db", "demo=/does/not/exist.json"])
         assert excinfo.value.code == 2
+
+    def test_serve_has_one_http_front_end(self, capsys):
+        """``--io-loop`` keeps parsing the benchmark's serve command, but the
+        thread-per-connection front-end stays gone: importing the service
+        loads no module that defines the stdlib's ``ThreadingHTTPServer``."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_serve_parser().parse_args(["--io-loop", "threaded"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'threaded'" in capsys.readouterr().err
+
+        spec = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e" / "spec.json"
+        command = json.loads(spec.read_text())["serve_command"]
+        args = build_serve_parser().parse_args(command[command.index("serve") + 1:])
+        assert args.io_loop == "event"
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.service; print(any(hasattr(module, "
+             "'ThreadingHTTPServer') for module in list(sys.modules.values())))"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert loaded.stdout.strip() == "False"

@@ -339,7 +339,7 @@ class TestHTTPFrontend:
     def test_metrics_exposition_includes_worker_series(self, server, pooled):
         plan = pooled.prepare("demo", QUERY_TEXT, order="x, y, z")
         # One rank over the loop lane's threshold: a smaller read is answered
-        # by the handler thread and never reaches a worker.
+        # on the loop thread and never reaches a worker.
         ks = [k % plan.count for k in range(LOOP_LANE_MAX_ANSWERS + 1)]
         self.post(server, "/v1/query",
                   {"op": "batch_access", "plan": plan.fingerprint, "ks": ks})
@@ -349,15 +349,47 @@ class TestHTTPFrontend:
         assert 'op="batch_access",status="ok"' in text
         assert "repro_pool_workers" in text
 
-    def test_drain_waits_for_inflight(self, server):
-        server.request_started()
-        done = []
+    def test_drain_waits_for_inflight(self, pooled):
+        """A request still on the executor lane when ``shutdown()`` is called
+        gets its whole response before ``serve_forever`` returns."""
+        pooled.gate = AdmissionGate(max_concurrent=1, max_queue=1, queue_timeout=10.0)
+        held = threading.Event()
+        release = threading.Event()
 
-        def finish():
-            time.sleep(0.2)
-            server.request_finished()
-            done.append(True)
+        def holder():
+            with pooled.gate.admit(None):
+                held.set()
+                release.wait(10.0)
 
-        threading.Thread(target=finish, daemon=True).start()
-        assert server.drain(5.0) is True
-        assert done == [True]
+        server = make_server(pooled, "127.0.0.1", 0)
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        gate_holder = threading.Thread(target=holder, daemon=True)
+        gate_holder.start()
+        assert held.wait(5.0)
+        responses = []
+        client = threading.Thread(target=lambda: responses.append(self.post(
+            server, "/v1/query",
+            {"op": "prepare", "db": "demo", "query": QUERY_TEXT, "order": "z, y, x"},
+        )), daemon=True)
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        try:
+            client.start()
+            deadline = time.monotonic() + 5.0
+            while server.inflight == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.inflight == 1  # the build is parked at the gate
+            stopper.start()
+            time.sleep(0.3)
+            assert loop.is_alive() and not responses  # draining, not cut off
+            release.set()
+            client.join(5.0)
+            loop.join(15.0)
+        finally:
+            release.set()
+            server.shutdown()
+            server.server_close()
+            gate_holder.join(5.0)
+        assert not loop.is_alive()
+        status, _headers, body = responses[0]
+        assert status == 200 and body["ok"]
