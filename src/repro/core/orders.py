@@ -16,8 +16,9 @@ algorithms need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryStructureError, WeightError
 
@@ -178,6 +179,20 @@ class LexOrder:
         return "⟨" + ", ".join(rendered) + "⟩"
 
 
+def _checked_weight(weight: object, what: str) -> float:
+    """``weight`` if it can rank answers, else :class:`WeightError`.
+
+    A weight is an ``int`` or ``float`` (not a ``bool``) and finite: strings
+    cannot be added to numbers, and a NaN total compares false both ways, so
+    the sorted answer array would have no well-defined ``k``-th answer.
+    """
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        raise WeightError(f"{what} must be an int or float, got {weight!r}")
+    if isinstance(weight, float) and not math.isfinite(weight):
+        raise WeightError(f"{what} must be finite, got {weight!r}")
+    return weight
+
+
 class Weights:
     """Per-variable weight functions for SUM orders.
 
@@ -188,6 +203,10 @@ class Weights:
     * "the value is its own weight" (:meth:`identity`), matching Figure 2(d),
     * a default weight for unmapped values (``default``), matching the paper's
       convention that existential variables and irrelevant attributes weigh 0.
+
+    Every weight — mapped, default or identity — must be a finite ``int`` or
+    ``float`` other than a ``bool``; anything else raises
+    :class:`~repro.exceptions.WeightError` where it enters.
     """
 
     def __init__(
@@ -196,11 +215,16 @@ class Weights:
         default: Optional[float] = 0.0,
         identity_variables: Iterable[str] = (),
     ) -> None:
-        self._maps: Dict[str, Dict[object, float]] = {
-            var: dict(mapping) for var, mapping in (mappings or {}).items()
-        }
+        self._maps: Dict[str, Dict[object, float]] = {}
+        for variable, mapping in (mappings or {}).items():
+            for value, weight in mapping.items():
+                self.set_weight(variable, value, weight)
+            self._maps.setdefault(variable, {})
+        if default is not None:
+            _checked_weight(default, "default weight")
         self._default = default
         self._identity = set(identity_variables)
+        self._identity_all = False
 
     # ------------------------------------------------------------------
     # Constructors
@@ -214,8 +238,7 @@ class Weights:
         """
         variables = tuple(variables)
         instance = cls(default=default, identity_variables=variables)
-        if not variables:
-            instance._identity_all = True  # type: ignore[attr-defined]
+        instance._identity_all = not variables
         return instance
 
     @classmethod
@@ -224,6 +247,7 @@ class Weights:
 
     def set_weight(self, variable: str, value: object, weight: float) -> "Weights":
         """Set one weight (returns self for chaining)."""
+        _checked_weight(weight, f"weight of {value!r} for {variable!r}")
         self._maps.setdefault(variable, {})[value] = weight
         return self
 
@@ -235,15 +259,25 @@ class Weights:
         mapping = self._maps.get(variable)
         if mapping is not None and value in mapping:
             return mapping[value]
-        if variable in self._identity or getattr(self, "_identity_all", False):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise WeightError(
-                    f"identity weight requested for non-numeric value {value!r} of {variable!r}"
-                )
-            return value
+        if self._identity_all or variable in self._identity:
+            return _checked_weight(value, f"identity weight of {variable!r}")
         if self._default is None:
             raise WeightError(f"no weight defined for value {value!r} of variable {variable!r}")
         return self._default
+
+    def value_weights(self, variable: str, values: Sequence[object]) -> List[float]:
+        """``[w_variable(v) for v in values]``: one lookup per value.
+
+        A variable with no mapping and no identity rule weighs every value the
+        constant default, so the list is built without any lookup.
+        """
+        if variable not in self._maps and not (self._identity_all or variable in self._identity):
+            if self._default is None and len(values):
+                raise WeightError(
+                    f"no weight defined for value {values[0]!r} of variable {variable!r}"
+                )
+            return [self._default] * len(values)
+        return [self.weight(variable, value) for value in values]
 
     def answer_weight(self, free_variables: Sequence[str], answer: Sequence[object]) -> float:
         """Total weight of an answer tuple aligned with ``free_variables``."""

@@ -5,7 +5,15 @@ possible exactly for acyclic CQs in which a single atom contains every free
 variable.  The algorithm is simple: remove dangling tuples with a semi-join
 reduction, project the covering atom onto the free variables, compute each
 answer's weight, sort once, and serve accesses from the sorted array in
-constant time.  Inverted access (answer → index) is supported with a hash map.
+constant time.
+
+The weigh-and-sort runs over the projected columns' dictionary codes
+(:func:`repro.planner.executor.order_by_weight`): each distinct value that
+occurs is weighed once and ranked by its ``repr`` once, the per-row totals are
+summed column by column, and one stable ``lexsort`` (weight, then the answer's
+``repr`` ranks) orders the codes.  Answers are decoded once, already in rank
+order.  Inverted access (answer → index) uses a dict built eagerly in C from
+the sorted answers, keeping each answer's first position.
 
 With unary functional dependencies the same construction is applied to the
 FD-extension (Theorem 8.9): a query that is not tractable on its own may become
@@ -60,9 +68,10 @@ class SumDirectAccess:
         self.report = built.report
         self._answers: List[Tuple] = built.answers
         self._weights_sorted: List[float] = built.weights_sorted
-        self._index_of: Dict[Tuple, int] = {}
-        for position, answer in enumerate(self._answers):
-            self._index_of.setdefault(answer, position)
+        # Reversed so that a repeated answer keeps its first position.
+        count = len(self._answers)
+        self._index_of: Dict[Tuple, int] = dict(
+            zip(reversed(self._answers), range(count - 1, -1, -1)))
 
     # ------------------------------------------------------------------
     @property

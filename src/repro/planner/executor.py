@@ -21,11 +21,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.orders import LexOrder, Weights
 from repro.core.preprocessing import PreprocessedInstance, preprocess
 from repro.core.reduction import eliminate_projections, reduce_database_over_query
+from repro.engine.backends.columnar import ColumnarStorage
 from repro.engine.database import Database
 from repro.exceptions import OutOfBoundsError, QueryStructureError
 from repro.obs import BUILD_STAGE_SECONDS, PLAN_BUILDS, TRACER
@@ -36,6 +37,11 @@ from repro.obs.profile import (
     stage_memory_probe,
 )
 from repro.planner.plan import ExecutionReport, QueryPlan
+
+try:  # NumPy is optional; without it the SUM sort runs on Python lists.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None
 
 
 def record_stage(report: ExecutionReport, name: str, seconds: float,
@@ -112,6 +118,141 @@ class SumBuild:
     answers: List[Tuple]
     weights_sorted: List[float]
     report: ExecutionReport
+
+
+# ----------------------------------------------------------------------
+# Lemma 5.9's weigh-and-sort, over dictionary codes
+# ----------------------------------------------------------------------
+#: Integer totals stay in int64 while the summed per-column maxima fit.
+_INT64_LIMIT = 2 ** 63
+
+
+class _CodedColumn(NamedTuple):
+    """One answer column as dictionary codes.
+
+    ``present`` are the codes some row uses and ``values`` their decoded
+    values, in code order — the only values the build weighs and ranks.
+    """
+
+    codes: Sequence[int]
+    domain: Sequence
+    present: Sequence[int]
+    values: List
+
+
+def _coded_columns(storage, width: int) -> List[_CodedColumn]:
+    """The columns of ``storage`` as :class:`_CodedColumn`.
+
+    Columnar storage already holds codes, but a projection shares the
+    *unreduced* domains, so values no row refers to (dangling ones) are
+    masked out and never weighed.  Row storage is coded here, once, keyed by
+    ``repr`` as well as by value so that ``1`` / ``True`` / ``1.0`` and
+    ``0.0`` / ``-0.0`` keep codes of their own.
+    """
+    if isinstance(storage, ColumnarStorage):
+        coded = []
+        for codes, domain in zip(storage.codes, storage.domains):
+            used = _np.zeros(len(domain), dtype=bool)
+            used[codes] = True
+            present = _np.flatnonzero(used)
+            coded.append(_CodedColumn(codes, domain, present, domain[present].tolist()))
+        return coded
+    rows = storage.materialize()
+    coded = []
+    for position in range(width):
+        index: dict = {}
+        codes = [index.setdefault((repr(row[position]), row[position]), len(index))
+                 for row in rows]
+        values = [value for _, value in index]
+        if _np is None:
+            coded.append(_CodedColumn(codes, values, range(len(values)), values))
+            continue
+        domain = _np.empty(len(values), dtype=object)
+        for code, value in enumerate(values):
+            domain[code] = value
+        coded.append(_CodedColumn(_np.asarray(codes, dtype=_np.int64), domain,
+                                  _np.arange(len(values)), values))
+    return coded
+
+
+def _repr_ranks(values: Sequence):
+    """Dense rank of each value's ``repr`` among ``values`` (equal text, equal rank)."""
+    texts = list(map(repr, values))
+    # NumPy's fixed-width strings order by code point, as Python's do, but
+    # drop trailing NULs; text holding a NUL takes the Python sort instead.
+    if _np is not None and "\x00" not in "".join(texts):
+        return _np.unique(_np.array(texts), return_inverse=True)[1]
+    rank = {text: position for position, text in enumerate(sorted(set(texts)))}
+    return [rank[text] for text in texts]
+
+
+def _total_dtype(weighed: Sequence[Sequence]):
+    """int64 / float64 when exact, else object (Python ``+``, big ints, mixes)."""
+    types = set().union(*(map(type, column) for column in weighed))
+    if types <= {int} and sum(
+            max(map(abs, column), default=0) for column in weighed) < _INT64_LIMIT:
+        return _np.int64
+    if types <= {float}:
+        return _np.float64
+    return object
+
+
+def _per_code(column: _CodedColumn, values: Sequence, dtype):
+    """A lookup table over ``column``'s codes: ``values`` at its present codes."""
+    table = _np.zeros(len(column.domain), dtype=dtype)
+    table[column.present] = values
+    return table
+
+
+def order_by_weight(storage, variables: Sequence[str], head: Sequence[int],
+                    weights: Weights) -> Tuple[List[Tuple], List]:
+    """The answers of ``storage`` sorted by SUM weight, and their weights.
+
+    ``storage`` holds the distinct projected answer rows over ``variables``;
+    ``head`` lists the positions that form the answer tuple (the original
+    free variables, in order).  The result is exactly what sorting the rows
+    by ``(weights.answer_weight(variables, row), tuple(map(repr, answer)))``
+    yields, equal value for value and type, ties in row order — but each
+    distinct value is weighed and ``repr``-ranked once, and the per-row work
+    is integer codes: totals summed column by column from ``0`` (as ``sum``
+    does, so ``-0.0`` totals come out ``0.0``), then one stable sort keyed by
+    the total and the head's tie ranks.
+    """
+    n = len(storage)
+    columns = _coded_columns(storage, len(variables))
+    weighed = [weights.value_weights(variable, column.values)
+               for variable, column in zip(variables, columns)]
+    # Ties are broken by the head's repr ranks, column by column; a column
+    # whose values are all distinct settles every tie, so ranks stop there.
+    tied: List[Tuple[_CodedColumn, Sequence[int]]] = []
+    for column in (columns[p] for p in head):
+        tied.append((column, _repr_ranks(column.values)))
+        if len(column.values) == n:
+            break
+    answer_columns = [columns[p] for p in head]
+
+    if _np is None:
+        # Without NumPy every column is row-coded: all its codes are present,
+        # so the per-value lists index directly by code.
+        total = [0] * n
+        for column, column_weights in zip(columns, weighed):
+            total = [t + column_weights[c] for t, c in zip(total, column.codes)]
+        keys = list(zip(total, *([ranks[c] for c in column.codes]
+                                 for column, ranks in tied)))
+        order = sorted(range(n), key=keys.__getitem__)
+        decoded = [[column.domain[column.codes[i]] for i in order]
+                   for column in answer_columns]
+        return list(zip(*decoded)), [total[i] for i in order]
+
+    dtype = _total_dtype(weighed)
+    total = _np.zeros(n, dtype=dtype)
+    for column, column_weights in zip(columns, weighed):
+        total += _per_code(column, column_weights, dtype)[column.codes]
+    ties = [_per_code(column, ranks, _np.int64)[column.codes] for column, ranks in tied]
+    key = _np.unique(total, return_inverse=True)[1] if dtype is object else total
+    order = _np.lexsort(tuple(reversed(ties)) + (key,))
+    decoded = [column.domain[column.codes[order]].tolist() for column in answer_columns]
+    return list(zip(*decoded)), total[order].tolist()
 
 
 class PlanExecutor:
@@ -291,24 +432,13 @@ class PlanExecutor:
 
             with _stage(report, "score_and_sort") as stage:
                 effective_free = normalized.free_variables
-                scored: List[Tuple[float, Tuple, Tuple]] = []
-                for row in answers_relation:
-                    weight = weights.answer_weight(effective_free, row)
-                    if effective_free == original_free:
-                        answer = row
-                    else:
-                        mapping = dict(zip(effective_free, row))
-                        answer = tuple(mapping[v] for v in original_free)
-                    scored.append((weight, answer, row))
-                scored.sort(key=lambda item: (item[0], tuple(map(repr, item[1]))))
-                stage.rows = len(scored)
+                head = [effective_free.index(v) for v in original_free]
+                answers, weights_sorted = order_by_weight(
+                    answers_relation.storage, effective_free, head, weights)
+                stage.rows = len(answers)
 
             self._finish(report, run_started)
-            return SumBuild(
-                [answer for _, answer, _ in scored],
-                [weight for weight, _, _ in scored],
-                report,
-            )
+            return SumBuild(answers, weights_sorted, report)
 
     # ------------------------------------------------------------------
     # Selection by LEX (Theorem 6.1 / 8.22)

@@ -38,6 +38,7 @@ from repro.exceptions import (
     NotAnAnswerError,
     OutOfBoundsError,
     ReproError,
+    WeightError,
 )
 from repro.fds.fd import FDSet
 
@@ -156,7 +157,8 @@ def canonical_weights(spec) -> Optional[str]:
     Accepted specs: ``None`` / ``"identity"`` (every variable weighs its own
     value) or a mapping ``{"mappings": {var: [[value, weight], ...]},
     "default": float}``; value/weight pairs are JSON values so the spec
-    round-trips through the HTTP layer.
+    round-trips through the HTTP layer.  Every weight is checked here, at
+    ``prepare``: a spec that :class:`Weights` rejects raises ``bad_request``.
     """
     if spec is None or spec == "identity":
         return None
@@ -179,9 +181,14 @@ def canonical_weights(spec) -> Optional[str]:
         "default": spec.get("default", 0.0),
     }
     try:
-        return json.dumps(normalized, sort_keys=True)
+        text = json.dumps(normalized, sort_keys=True)
     except (TypeError, ValueError) as exc:
         raise ServiceError("bad_request", f"weights spec is not JSON-representable: {exc}")
+    try:  # a weight that cannot rank (a string, a bool, NaN) is the client's error
+        build_weights(text)
+    except WeightError as exc:
+        raise ServiceError("bad_request", str(exc)) from None
+    return text
 
 
 def build_order(canonical: Optional[str]) -> Optional[LexOrder]:

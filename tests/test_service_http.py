@@ -218,6 +218,31 @@ class TestEndpoints:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"mappings": {"y": [[5, "x"]]}}',
+            b'{"mappings": {"y": [[5, true]]}}',
+            b'{"mappings": {"y": [[5, NaN]]}}',
+            b'{"mappings": {"y": [[5, 1]]}, "default": Infinity}',
+        ],
+        ids=["string", "bool", "nan", "infinite-default"],
+    )
+    def test_prepare_rejects_unrankable_weights(self, server, body):
+        # Raw bytes: json.loads accepts the NaN / Infinity tokens a client
+        # may send, and those weights would leave the SUM order undefined.
+        request = urllib.request.Request(
+            url_of(server, "/v1/prepare"),
+            data=b'{"db": "demo", "query": "Q(x, y) :- R(x, y)", "mode": "sum", '
+                 b'"weights": ' + body + b'}',
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"]["code"] == "bad_request"
+
     def test_runtime_registration(self, server):
         status, registered = post(
             server,
