@@ -14,8 +14,8 @@ both machine-checkable across PRs (``BENCH_snapshot.json`` at the repo root):
   parse + first answer) in a *fresh subprocess*, against a fresh build of
   the same instance in that subprocess — restart is a map, not a rebuild.
 * **fused kernel**: single-rank ``access`` latency through the fused flat
-  kernel versus the object walk (image stripped), over the same seeded rank
-  sequence.  Answers are compared bit-for-bit *before* any timing.
+  kernel versus the object walk over the raw instance, over the same seeded
+  rank sequence.  Answers are compared bit-for-bit *before* any timing.
 
 One ``seed`` drives every generator and is recorded in the metadata, as are
 ``cpu_count`` and the carrier of each measured attach.
@@ -33,9 +33,11 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.benchharness.replay import zipf_ranks
+from repro.core.access import access as object_access
 from repro.core.direct_access import LexDirectAccess
 from repro.core.orders import LexOrder
 from repro.core.snapshot import InstanceSnapshot, capture
+from repro.obs import ACCESS_KERNELS, obs_enabled
 from repro.workloads.generators import generate_path_database
 
 
@@ -121,6 +123,16 @@ def _cold_restart(path: str, params: Mapping[str, object]) -> Dict[str, object]:
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
+def _object_walk(instance, ranks) -> List:
+    """The answers at ``ranks`` by the object walk over the raw preprocessed
+    instance (its facade reads the image); checks the walk really ran."""
+    before = ACCESS_KERNELS.value(("access", "object"))
+    answers = [object_access(instance, int(k)) for k in ranks]
+    if obs_enabled() and ACCESS_KERNELS.value(("access", "object")) < before + len(ranks):
+        raise AssertionError("the object-walk reference did not run the object walk")
+    return answers
+
+
 def run_snapshot_bench(
     sizes: Sequence[int] = (100_000,),
     backends: Optional[Sequence[str]] = None,
@@ -169,14 +181,7 @@ def run_snapshot_bench(
             ranks = zipf_ranks(num_requests, count, seed=seed)
             served = snapshot.instance()
             fused_answers = [served.access(int(k)) for k in ranks]
-            saved_image = instance._snapshot_image
-            instance._snapshot_image = None
-            instance._batch_index = None
-            try:
-                walk_answers = [access.access(int(k)) for k in ranks]
-            finally:
-                instance._snapshot_image = saved_image
-                del instance._batch_index
+            walk_answers = _object_walk(instance, ranks)
             if fused_answers != walk_answers:
                 raise AssertionError(
                     f"fused kernel answers differ from the object walk "
@@ -184,20 +189,16 @@ def run_snapshot_bench(
                 )
 
             # --- attach vs pickle round-trip over equivalent payloads
-            saved_image = instance._snapshot_image
-            instance._snapshot_image = None
-            try:
-                pickle_seconds, payload = _best_of(
-                    repeats,
-                    lambda: pickle.loads(
-                        pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
-                    ),
-                )
-                pickle_bytes = len(
+            # (pickling an instance leaves its installed image out)
+            pickle_seconds, payload = _best_of(
+                repeats,
+                lambda: pickle.loads(
                     pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            finally:
-                instance._snapshot_image = saved_image
+                ),
+            )
+            pickle_bytes = len(
+                pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
+            )
             del payload
 
             blob = snapshot.to_bytes()
@@ -211,16 +212,9 @@ def run_snapshot_bench(
             fused_seconds, _ = _best_of(repeats, lambda: [
                 served.access(int(k)) for k in ranks
             ])
-            saved_image = instance._snapshot_image
-            instance._snapshot_image = None
-            instance._batch_index = None
-            try:
-                walk_seconds, _ = _best_of(repeats, lambda: [
-                    access.access(int(k)) for k in ranks
-                ])
-            finally:
-                instance._snapshot_image = saved_image
-                del instance._batch_index
+            walk_seconds, _ = _best_of(repeats, lambda: [
+                object_access(instance, int(k)) for k in ranks
+            ])
 
             run: Dict[str, object] = {
                 "tuples_per_relation": int(num_tuples),

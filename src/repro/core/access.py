@@ -16,32 +16,32 @@ All three walk the layers in order, maintain the current bucket per layer and
 the running ``factor`` (product of the weights of the other root buckets), and
 use exact integer arithmetic.
 
-A fourth operation, :func:`batch_access`, serves a whole batch of ranks at
-once.  With NumPy available it runs the layer walk *vectorized*: per layer,
-one :class:`~repro.engine.backends.columnar.SegmentedSearcher` probe locates
-the chosen tuple of every request simultaneously, and the factor/remainder
-bookkeeping is elementwise int64 arithmetic.  The vectorized path is gated on
-the answer count fitting comfortably in int64 (the same ``2^62`` bound the
-preprocessing uses); otherwise — and without NumPy — it degrades to a loop of
-scalar :func:`access` calls with identical results.
+A fourth operation, :func:`batch_access`, validates a whole batch of ranks
+once and then serves each rank by :func:`access`.
+
+These functions are the *object walk* over ``Bucket`` objects: the exact-int
+reference, and what serves plans that have no flat image (no NumPy, or counts
+beyond the int64-safe bound).  Readers carrying the ``is_sharded`` marker —
+:class:`~repro.core.sharding.ShardedInstance` and
+:class:`~repro.core.snapshot.SnapshotInstance`, which a built
+:class:`~repro.core.direct_access.LexDirectAccess` reads through — are handed
+straight to their own methods.  The walk here counts itself in
+``repro_access_total`` under the ``object`` kernel.
 """
 
 from __future__ import annotations
 
 import operator
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.orders import order_key
-from repro.core.preprocessing import _INT64_SAFE, Bucket, PreprocessedInstance
+from repro.core.preprocessing import Bucket, PreprocessedInstance
 from repro.engine.backends import HAS_NUMPY
 from repro.exceptions import NotAnAnswerError, OutOfBoundsError
 from repro.obs import ACCESS_KERNELS
 
 if HAS_NUMPY:
     import numpy as np
-
-    from repro.engine.backends.columnar import SegmentedSearcher
 
 
 def validate_rank(k) -> int:
@@ -160,10 +160,6 @@ def access(instance, k: int) -> Tuple:
         raise OutOfBoundsError(
             f"index {k} is out of bounds for {instance.count} answers"
         )
-    image = getattr(instance, "_snapshot_image", None)
-    if image is not None:
-        ACCESS_KERNELS.inc(("access", "snapshot"))
-        return image.access(k)
     ACCESS_KERNELS.inc(("access", "object"))
 
     layers = instance.layers
@@ -227,10 +223,6 @@ def inverted_access(instance, answer: Sequence) -> int:
     if instance.count == 0:
         raise NotAnAnswerError(f"{tuple(answer)!r} is not an answer (empty result)")
     assignment = _answer_assignment(instance, answer)
-    image = getattr(instance, "_snapshot_image", None)
-    if image is not None:
-        ACCESS_KERNELS.inc(("inverted", "snapshot"))
-        return image.inverted(tuple(answer))
     ACCESS_KERNELS.inc(("inverted", "object"))
 
     layers = instance.layers
@@ -248,9 +240,12 @@ def inverted_access(instance, answer: Sequence) -> int:
         # ``layer_values`` store order keys (raw values when ascending, the
         # transformed key when descending), so one binary search covers both
         # directions — no linear scan over the bucket.
-        index = bucket.find_by_value(
-            order_key(value, instance.order.is_descending(layer.variable))
-        )
+        try:
+            index = bucket.find_by_value(
+                order_key(value, instance.order.is_descending(layer.variable))
+            )
+        except TypeError:  # a value the column cannot order is no answer
+            index = None
         if index is None:
             raise NotAnAnswerError(f"{tuple(answer)!r} is not an answer")
         row = bucket.tuples[index]
@@ -290,10 +285,6 @@ def next_answer_index(instance, target: Sequence) -> int:
     if instance.count == 0:
         return 0
     assignment = _answer_assignment(instance, target)
-    image = getattr(instance, "_snapshot_image", None)
-    if image is not None:
-        ACCESS_KERNELS.inc(("next_index", "snapshot"))
-        return image.next_index(tuple(target))
     ACCESS_KERNELS.inc(("next_index", "object"))
 
     layers = instance.layers
@@ -355,195 +346,14 @@ def next_answer_index(instance, target: Sequence) -> int:
     return k
 
 
-# ----------------------------------------------------------------------
-# Batched access (vectorized layer walk)
-# ----------------------------------------------------------------------
-class _BatchLayer:
-    """Flattened, array-backed view of one layer for the batched walk.
-
-    All buckets of the layer are concatenated in a fixed order; requests then
-    carry *bucket ids* instead of bucket objects, and every per-layer step of
-    Algorithm 1 becomes one array operation over the whole batch.
-    """
-
-    __slots__ = ("searcher", "starts_flat", "totals", "rows", "head_map", "child_ids")
-
-    def __init__(
-        self,
-        searcher: "SegmentedSearcher",
-        starts_flat: "np.ndarray",
-        totals: "np.ndarray",
-        rows: "np.ndarray",
-        head_map: Tuple[Tuple[int, int], ...],
-        child_ids: Dict[int, "np.ndarray"],
-    ) -> None:
-        self.searcher = searcher
-        self.starts_flat = starts_flat
-        self.totals = totals              # per bucket id
-        self.rows = rows                  # object array of tuples, flat order
-        self.head_map = head_map          # (head position, row column) pairs
-        self.child_ids = child_ids        # child layer -> bucket id per flat row
-
-
-class _BatchIndex:
-    """Per-instance arrays that turn the access walk into one probe per layer."""
-
-    def __init__(self, instance: PreprocessedInstance, layers: Dict[int, _BatchLayer]) -> None:
-        self._instance = instance
-        self._layers = layers
-        self._width = len(instance.query.free_variables)
-
-    def gather(self, ranks: Sequence[int]) -> List[Tuple]:
-        instance = self._instance
-        m = len(ranks)
-        # A copy: the walk consumes ``remaining`` in place, and ``asarray``
-        # would alias (and zero) a caller's int64 array.
-        remaining = np.array(ranks, dtype=np.int64)
-        factor = np.full(m, instance.count, dtype=np.int64)
-        bucket_ids: Dict[int, np.ndarray] = {1: np.zeros(m, dtype=np.int64)}
-        gathered: List[Tuple[Tuple[Tuple[int, int], ...], List[Tuple]]] = []
-
-        for i in sorted(self._layers):
-            layer = self._layers[i]
-            segment = bucket_ids.pop(i)
-            factor //= layer.totals[segment]
-            # starts[r]·factor ≤ k  ⇔  starts[r] ≤ k // factor for positive ints.
-            chosen = layer.searcher.probe_flat(segment, remaining // factor)
-            remaining -= layer.starts_flat[chosen] * factor
-            gathered.append((layer.head_map, layer.rows[chosen].tolist()))
-            for child, ids in layer.child_ids.items():
-                child_buckets = ids[chosen]
-                bucket_ids[child] = child_buckets
-                factor *= self._layers[child].totals[child_buckets]
-
-        answers: List[Tuple] = []
-        width = self._width
-        for j in range(m):
-            answer = [None] * width
-            for head_map, rows in gathered:
-                row = rows[j]
-                for position, column in head_map:
-                    answer[position] = row[column]
-            answers.append(tuple(answer))
-        return answers
-
-
-def _build_batch_index(instance: PreprocessedInstance) -> Optional[_BatchIndex]:
-    """Build the batched-walk arrays, or ``None`` when exactness forbids int64."""
-    if not HAS_NUMPY or instance.count == 0 or instance.count >= _INT64_SAFE:
-        return None
-    free = instance.query.free_variables
-    head_position = {variable: position for position, variable in enumerate(free)}
-
-    batch_layers: Dict[int, _BatchLayer] = {}
-    bucket_id_maps: Dict[int, Dict[Tuple, int]] = {}
-    # Children first (higher indices), so their bucket-id maps exist when the
-    # parent resolves its per-row child buckets.
-    for i in sorted(instance.layers, reverse=True):
-        layer = instance.layers[i]
-        buckets = list(layer.buckets.values())
-        sizes = [len(bucket.tuples) for bucket in buckets]
-        total_rows = sum(sizes)
-        starts_flat = np.fromiter(
-            (start for bucket in buckets for start in bucket.starts),
-            dtype=np.int64,
-            count=total_rows,
-        )
-        totals = np.fromiter(
-            (bucket.total for bucket in buckets), dtype=np.int64, count=len(buckets)
-        )
-        try:
-            # Queries at this layer are < the request's bucket total, so the
-            # largest bucket total is the query bound the embedding must cover.
-            searcher = SegmentedSearcher(
-                starts_flat, sizes, stride=int(totals.max()) if len(totals) else 1
-            )
-        except OverflowError:
-            return None
-        rows = np.empty(total_rows, dtype=object)
-        position = 0
-        for bucket in buckets:
-            rows[position:position + len(bucket.tuples)] = bucket.tuples
-            position += len(bucket.tuples)
-
-        child_ids: Dict[int, np.ndarray] = {}
-        for child in layer.children:
-            child_map = bucket_id_maps[child]
-            key_positions = tuple(
-                layer.variables.index(v) for v in instance.layers[child].key_variables
-            )
-            child_ids[child] = np.fromiter(
-                (
-                    child_map[tuple(row[p] for p in key_positions)]
-                    for bucket in buckets
-                    for row in bucket.tuples
-                ),
-                dtype=np.int64,
-                count=total_rows,
-            )
-
-        head_map = tuple(
-            (head_position[variable], column)
-            for column, variable in enumerate(layer.variables)
-            if variable in head_position
-        )
-        bucket_id_maps[i] = {bucket.key: j for j, bucket in enumerate(buckets)}
-        batch_layers[i] = _BatchLayer(searcher, starts_flat, totals, rows, head_map, child_ids)
-    return _BatchIndex(instance, batch_layers)
-
-
-_UNBUILT = object()
-
-#: Fallback for instances predating the per-instance lock (unpickled old state).
-_FALLBACK_BATCH_LOCK = threading.Lock()
-
-
-def _batch_index(instance: PreprocessedInstance) -> Optional[_BatchIndex]:
-    """The instance's cached batch index (built on first use, ``None`` if impossible).
-
-    The lazy build is guarded by the instance's own lock: two serving threads
-    batching concurrently must share one index rather than each building (and
-    one of them publishing) its own copy.  The fast path stays lock-free —
-    attribute publication is atomic under the GIL, so a non-sentinel read is
-    always a fully built index.
-    """
-    cached = getattr(instance, "_batch_index", _UNBUILT)
-    if cached is not _UNBUILT:
-        return cached
-    lock = getattr(instance, "_batch_lock", None) or _FALLBACK_BATCH_LOCK
-    with lock:
-        cached = getattr(instance, "_batch_index", _UNBUILT)
-        if cached is _UNBUILT:
-            cached = _build_batch_index(instance)
-            instance._batch_index = cached
-    return cached
-
-
 def batch_access(instance, ks: Sequence[int]) -> List[Tuple]:
     """The answers at the given ranks, in the order the ranks were given.
 
-    Semantically identical to ``[access(instance, k) for k in ks]`` — the
-    whole batch is validated up front (so either every rank is served or the
-    first bad one raises), then served by the vectorized layer walk when
-    NumPy is available and the counts fit in int64, by the scalar loop
-    otherwise.  A sharded instance buckets the ranks by shard (one
-    ``searchsorted`` over the offset table) and issues one vectorized gather
-    per touched shard.
+    Semantically identical to ``[access(instance, k) for k in ks]``, except
+    that the whole batch is validated up front: either every rank is served
+    or the first bad one raises.
     """
     if getattr(instance, "is_sharded", False):
         return instance.batch_access(ks)
     ranks = validate_ranks(ks, instance.count)
-    if len(ranks) == 0:
-        return []
-    image = getattr(instance, "_snapshot_image", None)
-    if image is not None:
-        ACCESS_KERNELS.inc(("batch", "snapshot"))
-        return image.gather(ranks)
-    index = _batch_index(instance)
-    if index is None:
-        # The scalar fallback truly dispatches the scalar kernel per rank, so
-        # the inner ``access`` calls count themselves; this records the batch.
-        ACCESS_KERNELS.inc(("batch", "scalar_loop"))
-        return [access(instance, k) for k in ranks]
-    ACCESS_KERNELS.inc(("batch", "vectorized"))
-    return index.gather(ranks)
+    return [access(instance, k) for k in ranks]

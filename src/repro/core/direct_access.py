@@ -24,6 +24,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.core import access as access_module
 from repro.core.atoms import ConjunctiveQuery
 from repro.core.orders import LexOrder
+from repro.core.snapshot import installed
 from repro.engine.database import Database
 from repro.exceptions import OutOfBoundsError
 from repro.planner import PlanExecutor, QueryPlan, plan as build_plan
@@ -109,14 +110,13 @@ class LexDirectAccess:
         self.report = built.report
         self.complete_order = built.complete_order
 
+        self._bind(built.instance)
         if built.instance is None:
             # Boolean queries: a single (empty) answer iff the body is satisfiable.
             self._boolean_answers: Optional[List[Tuple]] = built.boolean_answers
-            self._instance = None
             self._needs_projection = False
             return
         self._boolean_answers = None
-        self._instance = built.instance
         self._projection = tuple(
             self._instance.query.free_variables.index(v) for v in self._original_query.free_variables
             if v in self._instance.query.free_variables
@@ -141,8 +141,18 @@ class LexDirectAccess:
         """
         clone = cls.__new__(cls)
         clone.__dict__.update(template.__dict__)
-        clone._instance = instance
+        clone._bind(instance)
         return clone
+
+    def _bind(self, instance) -> None:
+        """Bind ``instance`` and choose, once, the reader every access goes
+        through: the :class:`~repro.core.snapshot.SnapshotInstance` over the
+        image its build installed, or — when the build captured none (no
+        NumPy, counts beyond int64) — the instance itself, i.e. the object
+        walk of :mod:`repro.core.access`."""
+        self._instance = instance
+        snapshot = installed(instance)
+        self._reader = snapshot.instance() if snapshot is not None else instance
 
     # ------------------------------------------------------------------
     # Size / iteration
@@ -173,22 +183,23 @@ class LexDirectAccess:
             if 0 <= k < len(answers):
                 return answers[k]
             raise OutOfBoundsError(f"index {k} is out of bounds for {len(answers)} answers")
-        raw = access_module.access(self._instance, k)
+        raw = access_module.access(self._reader, k)
         return self._project(raw)
 
     def batch_access(self, ks: Sequence[int]) -> List[Tuple]:
         """The answers at the given ranks, in the given order.
 
-        Semantically ``[self.access(k) for k in ks]``; on instances whose
-        counts fit in int64 (and with NumPy installed) the batch is served by
-        a vectorized layer walk — one segmented binary-search probe per layer
-        for the whole batch — which is what makes high-throughput serving of
-        many concurrent ranks cheap.  The batch is validated up front: a
-        single out-of-bounds or non-integer rank fails the whole call.
+        Semantically ``[self.access(k) for k in ks]``.  A plan with an image
+        serves the batch through it: one stable argsort of the ranks, then
+        one segmented binary-search probe per layer for the whole batch —
+        which is what makes high-throughput serving of many concurrent ranks
+        cheap.  Without an image each rank takes the object walk.  The batch
+        is validated up front: a single out-of-bounds or non-integer rank
+        fails the whole call.
         """
         if self._instance is None:
             return [self.access(k) for k in ks]
-        raws = access_module.batch_access(self._instance, ks)
+        raws = access_module.batch_access(self._reader, ks)
         if not self._needs_projection:
             return raws
         return [self._project(raw) for raw in raws]
@@ -220,13 +231,13 @@ class LexDirectAccess:
             raise NotAnAnswerError(f"{tuple(answer)!r} is not an answer")
 
         if not self._needs_projection:
-            return access_module.inverted_access(self._instance, tuple(answer))
+            return access_module.inverted_access(self._reader, tuple(answer))
 
         # FD-extended head: the extra (implied) variables of the answer are not
         # known to the caller.  Locate the answer by a next-answer search with
         # the unknown positions open, then verify the hit.
         extended = self._extend_answer(answer, fill_smallest=True)
-        k = access_module.next_answer_index(self._instance, extended)
+        k = access_module.next_answer_index(self._reader, extended)
         if k >= self.count or self.access(k) != tuple(answer):
             raise NotAnAnswerError(f"{tuple(answer)!r} is not an answer")
         return k
@@ -236,7 +247,7 @@ class LexDirectAccess:
         if self._instance is None:
             return 0 if self.count else 0
         extended = self._extend_answer(target, fill_smallest=True)
-        return access_module.next_answer_index(self._instance, extended)
+        return access_module.next_answer_index(self._reader, extended)
 
     def rank_of_prefix(self, prefix: Sequence) -> int:
         """Number of answers strictly smaller than any answer starting with ``prefix``.
@@ -256,7 +267,7 @@ class LexDirectAccess:
                 target.append(assignment[variable])
             else:
                 target.append(_MINUS_INFINITY)
-        return access_module.next_answer_index(self._instance, tuple(target))
+        return access_module.next_answer_index(self._reader, tuple(target))
 
     # ------------------------------------------------------------------
     # Helpers

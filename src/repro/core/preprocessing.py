@@ -36,7 +36,6 @@ instead of walking the buckets and re-encoding every value.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -164,26 +163,13 @@ class PreprocessedInstance:
         self.layers = layers
         root_bucket = layers[1].bucket(()) if 1 in layers else None
         self._count = root_bucket.total if root_bucket is not None else 0
-        # Guards the lazy build of the batched-access index (see
-        # repro.core.access._batch_index): concurrent serving threads must
-        # agree on one index instead of racing to build it twice.
-        self._batch_lock = threading.Lock()
 
     def __getstate__(self):
-        # Locks don't pickle, the batch index is a lazily rebuilt cache, and
-        # the snapshot image (its kernels and its installed handle) may view
-        # shared-memory/mmap buffers; drop them so instances cross
-        # process-pool boundaries cleanly.
+        # The installed snapshot image may view shared-memory/mmap buffers;
+        # drop it so instances cross process-pool boundaries cleanly.
         state = self.__dict__.copy()
-        state.pop("_batch_lock", None)
-        state.pop("_batch_index", None)
-        state.pop("_snapshot_image", None)
         state.pop("_installed_snapshot", None)
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._batch_lock = threading.Lock()
 
     @property
     def count(self) -> int:

@@ -15,37 +15,34 @@ lexicographic answer order is exactly shard ``0``'s answers, then shard
 * scalar ``access(k)`` binary-searches the offset table (one extra
   ``O(log shards)`` step, so the paper's logarithmic access bound is
   untouched) and delegates to the owning shard;
-* ``batch_access(ks)`` buckets the whole batch with one vectorized
-  ``searchsorted`` over the offsets and issues a single (internally
-  vectorized) per-shard gather per *touched* shard, scattering results back
-  into request order;
+* ``batch_access(ks)`` validates the whole batch once, then serves each
+  rank by ``access``;
 * ``inverted_access(answer)`` routes by the answer's leading *value* through
   the partition's value map, then adds the shard offset to the local index;
 * ``next_answer_index(target)`` walks the shards in order (their leading
   ranges are disjoint and ordered) and returns the first shard hit plus its
   offset.
 
-The module-level functions of :mod:`repro.core.access` dispatch to these
-methods via the ``is_sharded`` marker, so every facade and the service serve
-sharded and monolithic instances through one code path.
+These methods run the object walk, shard by shard.  They serve only plans
+whose build captured no image (no NumPy, exact-int counts): a built facade
+otherwise reads through the image's
+:class:`~repro.core.snapshot.SnapshotInstance`, which routes ranks and values
+over the same offset table.  The module-level functions of
+:mod:`repro.core.access` dispatch to either via the ``is_sharded`` marker.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import access as access_module
 from repro.core.layered_tree import LayeredJoinTree
-from repro.core.preprocessing import _INT64_SAFE, PreprocessedInstance, preprocess
-from repro.engine.backends import HAS_NUMPY
+from repro.core.preprocessing import PreprocessedInstance, preprocess
 from repro.engine.database import Database
 from repro.engine.partition import DatabasePartition, range_partition
 from repro.exceptions import NotAnAnswerError, OutOfBoundsError
-
-if HAS_NUMPY:
-    import numpy as np
 
 
 class ShardedInstance:
@@ -75,7 +72,7 @@ class ShardedInstance:
 
     def __getstate__(self):
         # The installed snapshot image may view shared-memory/mmap buffers;
-        # like the shards' own images, it stays out of pickles.
+        # it stays out of pickles.
         state = self.__dict__.copy()
         state.pop("_installed_snapshot", None)
         return state
@@ -111,14 +108,7 @@ class ShardedInstance:
 
     def batch_access(self, ks: Sequence[int]) -> List[Tuple]:
         ranks = access_module.validate_ranks(ks, self._count)
-        if len(ranks) == 0:
-            return []
-        answers: List[Optional[Tuple]] = [None] * len(ranks)
-        for shard, positions, local in self._bucket_by_shard(ranks):
-            served = access_module.batch_access(self.shards[shard], local)
-            for position, answer in zip(positions, served):
-                answers[position] = answer
-        return answers  # type: ignore[return-value]
+        return [self.access(k) for k in ranks]
 
     def inverted_access(self, answer: Sequence) -> int:
         if self._count == 0:
@@ -145,46 +135,6 @@ class ShardedInstance:
             if local < instance.count:
                 return self.offsets[shard] + local
         return self._count
-
-    # ------------------------------------------------------------------
-    def _bucket_by_shard(self, ranks: Sequence[int]):
-        """Yield ``(shard, request_positions, local_ranks)`` per touched shard.
-
-        Vectorized ``searchsorted`` bucketing when NumPy is available and the
-        count fits int64; bisect otherwise — identical grouping either way.
-        """
-        if isinstance(ranks, range) and ranks.step == 1:
-            # A contiguous rank range touches a contiguous run of shards;
-            # hand each shard its sub-range without materializing anything.
-            lo, hi = ranks[0], ranks[-1] + 1
-            for shard in range(self.shard_of_rank(lo), self.shard_of_rank(hi - 1) + 1):
-                begin = max(lo, self.offsets[shard])
-                end = min(hi, self.offsets[shard + 1])
-                if begin >= end:
-                    continue
-                yield shard, range(begin - lo, end - lo), range(
-                    begin - self.offsets[shard], end - self.offsets[shard]
-                )
-            return
-        if HAS_NUMPY and self._count < _INT64_SAFE:
-            array = np.asarray(ranks, dtype=np.int64)
-            shard_ids = np.searchsorted(
-                np.asarray(self.offsets[1:], dtype=np.int64), array, side="right"
-            )
-            for shard in np.unique(shard_ids).tolist():
-                positions = np.flatnonzero(shard_ids == shard)
-                local = (array[positions] - self.offsets[shard]).tolist()
-                yield shard, positions.tolist(), local
-            return
-        grouped: Dict[int, Tuple[List[int], List[int]]] = {}
-        for position, k in enumerate(ranks):
-            shard = self.shard_of_rank(k)
-            positions, local = grouped.setdefault(shard, ([], []))
-            positions.append(position)
-            local.append(k - self.offsets[shard])
-        for shard in sorted(grouped):
-            positions, local = grouped[shard]
-            yield shard, positions, local
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,7 @@ instance image*:
 
 * per layer: the concatenated bucket ``starts`` (and their pre-augmented
   :class:`~repro.engine.backends.columnar.SegmentedSearcher` embedding),
-  per-bucket ``totals``, segment offsets, and per-child bucket ids — the
-  arrays :class:`~repro.core.access._BatchIndex` already computed, promoted
-  from a transient cache to a portable format;
+  per-bucket ``totals``, segment offsets, and per-child bucket ids;
 * per layer column: dictionary-encoded row values — ``int32``/``int64`` codes
   plus a per-column *value dictionary* of the distinct Python objects.  Codes
   live in the flat buffer; only the dictionaries are pickled (never a
@@ -23,7 +21,7 @@ instance image*:
 The image has three interchangeable carriers:
 
 * **memory** — plain NumPy arrays in-process (what the executor installs on
-  every built instance so the fused kernels serve it);
+  every built instance; its facade reads through it);
 * **shm** — one ``multiprocessing.shared_memory`` block per image, named by
   plan fingerprint + epoch (:func:`shm_name`); attaching is an O(1) map plus
   a manifest parse, and :class:`SnapshotPublisher` refcounts each epoch so a
@@ -37,9 +35,12 @@ On top of the same arrays, :class:`FlatShard` is the *fused scalar kernel*:
 ``access``/``inverted_access``/``next_answer_index`` walk the layers with
 binary searches over precomputed per-bucket slices — no ``Bucket`` objects,
 no dict of current buckets, no per-answer assignment dict; head values are
-gathered by precomputed ``(head position, flat column)`` index pairs.  The
-object walk in :mod:`repro.core.access` remains the exact-int / no-NumPy
-fallback and is property-tested identical.
+gathered by precomputed ``(head position, flat column)`` index pairs.
+:class:`SnapshotInstance` is the one reader over an image: a built
+:class:`~repro.core.direct_access.LexDirectAccess` binds it once, and a pool
+worker serves its attached image through it.  The object walk in
+:mod:`repro.core.access` serves only plans without an image (no NumPy,
+exact-int counts) and is the reference the image is property-tested against.
 
 Batched reads are one *monotone* walk (:meth:`SnapshotInstance.page` /
 ``range_page``): the ranks are validated once, stable-argsorted once (a range
@@ -92,6 +93,7 @@ from repro.core.orders import LexOrder, order_key
 from repro.core.preprocessing import _INT64_SAFE, PreprocessedInstance
 from repro.engine.backends import HAS_NUMPY
 from repro.exceptions import NotAnAnswerError, OutOfBoundsError
+from repro.obs import ACCESS_KERNELS
 
 if HAS_NUMPY:
     import numpy as np
@@ -273,9 +275,9 @@ class FlatShard:
     """Fused kernels of one (monolithic) instance image.
 
     Every operation assumes a validated, in-bounds input — validation stays
-    in :mod:`repro.core.access` / :class:`SnapshotInstance`, exactly like the
-    object walk.  ``carrier``/``seconds`` describe how this image came to be
-    (capture vs attach) for the serving stats.
+    in :class:`SnapshotInstance`, the one reader over these kernels.
+    ``carrier``/``seconds`` describe how this image came to be (capture vs
+    attach) for the serving stats.
     """
 
     def __init__(self, count: int, width: int, layers: Dict[int, FlatLayer]) -> None:
@@ -335,8 +337,12 @@ class FlatShard:
             lo = layer.offsets_seq[segment]
             hi = layer.offsets_seq[segment + 1]
             value = answer[layer.value_head_position]
-            row = layer.first_at_least(lo, hi, order_key(value, layer.descending))
-            if row >= hi or layer.decode_value(row) != value:
+            try:
+                row = layer.first_at_least(lo, hi, order_key(value, layer.descending))
+                found = row < hi and layer.decode_value(row) == value
+            except TypeError:  # a value the column cannot order is no answer
+                found = False
+            if not found:
                 raise NotAnAnswerError(f"{tuple(answer)!r} is not an answer")
             # The node may hold several variables; all must agree.
             for position, codes, domain in layer.head_seq:
@@ -407,7 +413,7 @@ class FlatShard:
             position += 1
         return k
 
-    # -- batched gather (vectorized layer walk) -------------------------
+    # -- batched walk (one probe per layer) -----------------------------
     def walk(self, remaining: "np.ndarray") -> List[Tuple[FlatLayer, int, "np.ndarray"]]:
         """Algorithm 1 for a whole batch: one segmented probe per layer.
 
@@ -432,12 +438,6 @@ class FlatShard:
                 segment_ids[child] = child_segments
                 factor *= self.layers[child].totals[child_segments]
         return columns  # type: ignore[return-value]
-
-    def gather(self, ranks: Sequence[int]) -> List[Tuple]:
-        """The answers at shard-local ``ranks`` (validated, non-empty), in the
-        given order.  The walk gets a copy: ``ranks`` may be a caller's array."""
-        remaining = np.array(ranks, dtype=np.int64)
-        return AnswerPage(self.width, [self.walk(remaining)]).tuples()
 
 
 class AnswerPage:
@@ -691,12 +691,12 @@ def capture(instance, fingerprint: str = "", epoch: int = 0) -> Optional["Instan
 
 
 def install(instance, fingerprint: str = "", epoch: int = 0) -> Optional["InstanceSnapshot"]:
-    """Capture an image and install its fused kernels on the instance.
+    """Capture an image of the instance and install it there.
 
-    The per-shard :class:`FlatShard` images are attached as
-    ``_snapshot_image`` on the underlying ``PreprocessedInstance`` objects,
-    which is where :mod:`repro.core.access` dispatches the fast paths; the
-    image itself stays reachable through :func:`installed`.
+    The image is reachable through :func:`installed`; a facade binding the
+    instance reads through its :class:`SnapshotInstance`.  Only the root
+    instance is marked: shard instances stay untouched, so a partial rebuild
+    that reuses them never changes what an older facade reads.
     """
     snapshot = capture(instance, fingerprint=fingerprint, epoch=epoch)
     if snapshot is None:
@@ -824,13 +824,7 @@ class InstanceSnapshot:
         return len(self.to_bytes())
 
     def install(self, instance) -> None:
-        """Attach the per-shard fused kernels to a live instance tree, and
-        this image to its root (see :func:`installed`)."""
-        if getattr(instance, "is_sharded", False):
-            for shard_instance, image in zip(instance.shards, self.shards):
-                shard_instance._snapshot_image = image
-        else:
-            instance._snapshot_image = self.shards[0]
+        """Mark this image as ``instance``'s own (see :func:`installed`)."""
         instance._installed_snapshot = self
 
     def instance(self) -> "SnapshotInstance":
@@ -1100,6 +1094,12 @@ def _destroy_block(block) -> None:
 # ----------------------------------------------------------------------
 # The serving facade over an attached image
 # ----------------------------------------------------------------------
+_COUNT_ACCESS = ACCESS_KERNELS.bind(("access", "snapshot"))
+_COUNT_BATCH = ACCESS_KERNELS.bind(("batch", "snapshot"))
+_COUNT_INVERTED = ACCESS_KERNELS.bind(("inverted", "snapshot"))
+_COUNT_NEXT = ACCESS_KERNELS.bind(("next_index", "snapshot"))
+
+
 class SnapshotInstance:
     """Ranked direct access served purely from an instance image.
 
@@ -1186,6 +1186,7 @@ class SnapshotInstance:
             raise OutOfBoundsError(
                 f"index {k} is out of bounds for {self._count} answers"
             )
+        _COUNT_ACCESS.inc()
         single = self._single
         if single is not None:
             return single.access(k)
@@ -1197,6 +1198,7 @@ class SnapshotInstance:
         :class:`AnswerPage`: one validation, one stable argsort, one walk of
         ascending ranks per touched shard."""
         ranks = validate_ranks(ks, self._count)
+        _COUNT_BATCH.inc()
         if len(ranks) == 0:
             return AnswerPage(len(self.head), [])
         array = np.asarray(ranks, dtype=np.int64)
@@ -1206,6 +1208,7 @@ class SnapshotInstance:
     def range_page(self, lo: int, hi: int) -> AnswerPage:
         """:meth:`page` for the contiguous ranks ``lo ≤ k < hi``."""
         lo, hi = validate_range(lo, hi, self._count)
+        _COUNT_BATCH.inc()
         if lo == hi:
             return AnswerPage(len(self.head), [])
         return self._walk_sorted(np.arange(lo, hi, dtype=np.int64), None)
@@ -1239,6 +1242,7 @@ class SnapshotInstance:
                 f"{len(self.head)}"
             )
         answer = tuple(answer)
+        _COUNT_INVERTED.inc()
         try:
             shard = (
                 self._shard_of_value(answer[self._leading_position])
@@ -1258,6 +1262,7 @@ class SnapshotInstance:
             raise NotAnAnswerError(
                 f"answer {target!r} does not match the head arity {len(self.head)}"
             )
+        _COUNT_NEXT.inc()
         for shard, image in enumerate(self.shards):
             local = image.next_index(target)
             if local < image.count:
@@ -1280,17 +1285,9 @@ def serving_stats(instance) -> Optional[Dict[str, object]]:
     """The snapshot-serving descriptor of an instance tree (or ``None``).
 
     Reports the carrier and capture/attach seconds of the installed image —
-    what the service surfaces per plan.  For sharded instances, the first
-    shard's image speaks for the buffer set (one capture produced them all).
+    what the service surfaces per plan.
     """
-    if getattr(instance, "is_sharded", False):
-        images = [
-            getattr(shard, "_snapshot_image", None) for shard in instance.shards
-        ]
-        images = [image for image in images if image is not None]
-        image = images[0] if len(images) == len(instance.shards) and images else None
-    else:
-        image = getattr(instance, "_snapshot_image", None)
+    image = installed(instance)
     if image is None:
         return None
     return {"carrier": image.carrier, "seconds": round(image.seconds, 6)}

@@ -387,12 +387,6 @@ class LiveInstance:
                 self.query, database, self.order, plan=self.plan,
                 workers=self.workers, use_processes=self.use_processes,
             )
-        elif getattr(base, "_instance", None) is not None:
-            # Partial rebuilds bypass the executor, so the rebuilt shards
-            # carry no snapshot image yet; reflatten the swapped-in base.
-            from repro.core.snapshot import install as install_snapshot
-
-            install_snapshot(base._instance, fingerprint=self.plan.fingerprint)
         old_base_epoch = old.base_epoch
         snapshot = _Snapshot(epoch, epoch, base, database, base)
         self._snapshot = snapshot
@@ -455,6 +449,7 @@ class LiveInstance:
         """
         from repro.core.preprocessing import build_partial_layers, preprocess
         from repro.core.sharding import ShardedInstance
+        from repro.core.snapshot import install as install_snapshot
         from repro.engine.partition import repartition
 
         instance = getattr(old.base, "_instance", None)
@@ -526,9 +521,11 @@ class LiveInstance:
             else instance.shards[index]
             for index in range(instance.shard_count)
         ]
-        rebound = LexDirectAccess._rebound(
-            old.base, ShardedInstance(tree, new_partition, shards)
-        )
+        # Partial rebuilds bypass the executor: capture the new shard set's
+        # image here, before the facade binds it and chooses its reader.
+        rebuilt = ShardedInstance(tree, new_partition, shards)
+        install_snapshot(rebuilt, fingerprint=self.plan.fingerprint)
+        rebound = LexDirectAccess._rebound(old.base, rebuilt)
         return rebound, len(touched), instance.shard_count
 
     # ------------------------------------------------------------------

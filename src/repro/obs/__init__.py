@@ -30,7 +30,7 @@ The catalogue of series every layer feeds (labels in braces):
 ``repro_plan_cache_events_total{event}``  hit / miss / coalesced / eviction / invalidation
 ``repro_plan_builds_total{mode}``         executor builds by plan mode
 ``repro_build_stage_seconds{stage}``      per-stage build latency histogram
-``repro_access_total{op,kernel}``         access-kernel dispatch (snapshot vs object walk)
+``repro_access_total{op,kernel}``         access-kernel invocations; kernel ``snapshot`` or ``object``
 ``repro_answers_total{op}``               answers served by batched/range reads
 ``repro_mutations_total{op}``             live insert/delete batches applied
 ``repro_mutation_rows_total{op}``         rows those batches applied
@@ -173,7 +173,7 @@ BUILD_STAGE_SECONDS = METRICS.histogram(
 )
 ACCESS_KERNELS = METRICS.counter(
     "repro_access_total",
-    "Access-kernel invocations by operation and dispatched kernel.",
+    "Access-kernel invocations by operation and kernel (snapshot or object).",
     ("op", "kernel"),
 )
 ANSWERS = METRICS.counter(

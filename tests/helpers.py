@@ -6,7 +6,9 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro import ConjunctiveQuery, Database, LexOrder, Relation, Weights
+from repro.core import access as access_module
 from repro.engine.naive import evaluate_naive
+from repro.obs import ACCESS_KERNELS, obs_enabled
 
 
 def random_database_for(
@@ -54,3 +56,22 @@ def answer_weights_multiset(
     answers = evaluate_naive(query, database)
     free = query.free_variables
     return sorted(weights.answer_weight(free, a) for a in answers)
+
+
+def object_walk_answers(access) -> List[Tuple]:
+    """Every answer of a :class:`~repro.LexDirectAccess` by the object walk.
+
+    A built facade reads through its installed image, so the reference runs
+    :mod:`repro.core.access` on the facade's raw preprocessed instance
+    instead — and checks that the ``object`` kernel counter moved, i.e. that
+    the walk really was the object walk.
+    """
+    instance = access._instance
+    before = ACCESS_KERNELS.value(("access", "object"))
+    answers = [
+        access._project(access_module.access(instance, k))
+        for k in range(access.count)
+    ]
+    moved = ACCESS_KERNELS.value(("access", "object")) - before
+    assert not obs_enabled() or moved >= access.count, "object walk did not run"
+    return answers

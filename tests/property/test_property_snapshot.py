@@ -31,6 +31,7 @@ from repro import (
 from repro.core.snapshot import InstanceSnapshot, capture, _destroy_block
 from repro.engine.backends import HAS_NUMPY, available_backends
 from repro.exceptions import NotAnAnswerError, OutOfBoundsError
+from tests.helpers import object_walk_answers
 
 if not HAS_NUMPY:
     pytest.skip("snapshot images require NumPy", allow_module_level=True)
@@ -70,26 +71,6 @@ def order_for(draw, variables=("x", "y", "z")):
     ]))
     descending = draw(st.sets(st.sampled_from(chosen)).map(tuple))
     return LexOrder(chosen, descending)
-
-
-def object_walk_answers(access):
-    """Reference answers via the object walk (snapshot images stripped)."""
-    instance = access._instance
-    stripped = (
-        list(instance.shards) if getattr(instance, "is_sharded", False)
-        else [instance]
-    )
-    saved = []
-    for shard in stripped:
-        saved.append(getattr(shard, "_snapshot_image", None))
-        shard._snapshot_image = None
-        shard._batch_index = None  # scalar object walk, not the batch index
-    try:
-        return [access.access(k) for k in range(access.count)]
-    finally:
-        for shard, image in zip(stripped, saved):
-            shard._snapshot_image = image
-            del shard._batch_index
 
 
 def carried(snapshot, carrier):

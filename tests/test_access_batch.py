@@ -2,8 +2,8 @@
 
 ``batch_access`` must be observationally identical to a loop of single
 ``access`` calls — same answers, same order, same exceptions — whether it
-takes the vectorized layer walk (NumPy present, counts fitting int64) or the
-scalar fallback.  Rank validation (the satellite): bools and floats are
+reads through the plan's image (NumPy present, counts fitting int64) or takes
+the object walk.  Rank validation (the satellite): bools and floats are
 ``TypeError``s everywhere a rank is accepted, and out-of-bounds messages name
 the requested rank and the answer count.
 """
@@ -23,6 +23,7 @@ from repro import (
 )
 from repro.core import access as access_module
 from repro.engine.backends import available_backends
+from repro.obs import ACCESS_KERNELS, obs_enabled
 from repro.workloads import paper_queries as pq
 from repro.workloads.generators import generate_path_database, generate_star_database
 
@@ -82,9 +83,11 @@ class TestBatchEquivalence:
         access = LexDirectAccess(pq.TWO_PATH, database, LexOrder(("x", "y", "z")))
         ks = list(range(0, access.count, 2))
         vectorized = access.batch_access(ks)
-        # Force the scalar path by marking the batch index unbuildable.
-        access._instance._batch_index = None
-        assert access.batch_access(ks) == vectorized
+        # The object walk over the raw instance (the facade reads its image).
+        before = ACCESS_KERNELS.value(("access", "object"))
+        assert access_module.batch_access(access._instance, ks) == vectorized
+        moved = ACCESS_KERNELS.value(("access", "object")) - before
+        assert not obs_enabled() or moved >= len(ks)
 
     def test_range_access(self, backend):
         database = make_two_path(backend)
@@ -124,7 +127,7 @@ class TestCallerArrayUntouched:
     with the same array must agree with the first."""
 
     @pytest.mark.parametrize(
-        "serving", ["facade", "batch_index", "image", "sharded_image"])
+        "serving", ["facade", "image", "sharded_image"])
     def test_int64_array_of_ranks_is_not_consumed(self, backend, serving):
         numpy = pytest.importorskip("numpy", exc_type=ImportError)
         from repro.core.snapshot import capture
@@ -134,9 +137,7 @@ class TestCallerArrayUntouched:
             pq.TWO_PATH, make_two_path(backend), LexOrder(("x", "y", "z")),
             shards=shards)
         reader = access
-        if serving == "batch_index":  # no image: the _BatchIndex walk
-            access._instance._snapshot_image = None
-        elif serving != "facade":
+        if serving != "facade":
             reader = capture(access._instance).instance()
             assert len(reader.shards) == (shards or 1)
         ks = numpy.array([5, 0, 5, access.count - 1, 1, 0], dtype=numpy.int64)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import LexDirectAccess, LexOrder, NotAnAnswerError
+from repro.core import access as access_module
 from repro.workloads import paper_queries as pq
 from tests.helpers import random_database_for, sorted_answers
 
@@ -24,6 +25,16 @@ class TestInvertedAccess:
             access.inverted_access((1, 2, 3))
         with pytest.raises(NotAnAnswerError):
             access.inverted_access((99, 99, 99))
+
+    @pytest.mark.parametrize("answer", [("a", 1, 2), (None, 1, 2), ([1], 1, 2), (1, "b", 2)])
+    @pytest.mark.parametrize("descending", [(), ("x", "y")])
+    def test_unorderable_value_is_not_an_answer_in_the_object_walk(self, answer, descending):
+        order = LexOrder(("x", "y", "z"), descending)
+        access = LexDirectAccess(pq.TWO_PATH, pq.FIGURE2_DATABASE, order)
+        with pytest.raises(NotAnAnswerError):
+            access_module.inverted_access(access._instance, answer)
+        with pytest.raises(NotAnAnswerError):
+            access.inverted_access(answer)
 
     def test_wrong_arity_raises(self):
         access = LexDirectAccess(pq.TWO_PATH, pq.FIGURE2_DATABASE, pq.FIGURE2_LEX_XYZ)

@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 from repro import Database, Relation
+from repro.engine.backends import HAS_NUMPY
 from repro.obs import METRICS, TRACER, obs_enabled, set_enabled
 from repro.service import QueryService, make_server
 
@@ -221,6 +222,12 @@ class TestServiceMiddleware:
         assert sum(
             count for (op, _), count in kernels.items() if op == "access"
         ) >= 1
+        # A built plan reads through its image when NumPy can hold one, and
+        # through the object walk otherwise — never both, never another kernel.
+        served, other = ("snapshot", "object") if HAS_NUMPY else ("object", "snapshot")
+        assert kernels[("access", served)] >= 1
+        assert ("access", other) not in kernels
+        assert {kernel for _, kernel in kernels} <= {"snapshot", "object"}
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro import Database, LexOrder, Relation, parse_query
+from repro.engine.backends import available_backends
 from repro.service import PlanSpec, QueryService, ServiceError, run_requests
 
 QUERY_TEXT = "Q(x, y, z) :- R(x, y), S(y, z)"
@@ -251,6 +252,26 @@ class TestCachingAndInvalidation:
         for thread in threads:
             thread.join(timeout=10)
         assert not failures
+
+
+class TestUnorderableInvertedAccess:
+    """An answer holding a value its column cannot order (a string, ``None``
+    or a list among ints) is simply not an answer — on every backend, shard
+    count and walk — rather than an internal error."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize(
+        "answer", [["a", 1, 2], [None, 1, 2], [[1], 1, 2], [1, "b", 2]],
+        ids=["str", "null", "list", "str-second"])
+    def test_is_not_an_answer(self, service, backend, shards, answer):
+        response = service.execute({
+            "op": "inverted_access", "db": "demo", "query": QUERY_TEXT,
+            "order": "x, y, z", "backend": backend, "shards": shards,
+            "answer": answer,
+        })
+        assert response["ok"] is False
+        assert response["error"]["code"] == "not_an_answer"
 
 
 class TestExecuteProtocol:

@@ -1,8 +1,7 @@
 """Unit tests for the sharding layer: partitioner, ShardedInstance, plan
-threading, service/CLI surface, and the batch-index race fix."""
+threading and the service/CLI surface."""
 
 import json
-import threading
 
 import pytest
 
@@ -15,7 +14,6 @@ from repro import (
     Relation,
     selection_lex,
 )
-from repro.core import access as access_module
 from repro.engine.backends import available_backends
 from repro.engine.partition import range_partition
 from repro.exceptions import NotAnAnswerError, OutOfBoundsError
@@ -358,62 +356,3 @@ class TestCliSharding:
         assert args.shards == 4
         with pytest.raises(SystemExit):
             build_serve_parser().parse_args(["--shards", "0"])
-
-
-# ----------------------------------------------------------------------
-# Batch-index lazy-build race (satellite fix)
-# ----------------------------------------------------------------------
-class TestBatchIndexRace:
-    def test_concurrent_batch_access_builds_index_once(self, monkeypatch):
-        database = path_database()
-        mono = LexDirectAccess(PATH_QUERY, database, ORDER)
-        instance = mono._instance
-        if not hasattr(access_module, "np"):
-            pytest.skip("vectorized batch index needs NumPy")
-        # The executor installs a snapshot image that bypasses the batch
-        # index entirely; drop it to exercise the lazy-build fallback.
-        instance._snapshot_image = None
-
-        builds = []
-        real_build = access_module._build_batch_index
-
-        def counting_build(target):
-            import time
-
-            builds.append(threading.get_ident())
-            time.sleep(0.02)  # widen the race window
-            return real_build(target)
-
-        monkeypatch.setattr(access_module, "_build_batch_index", counting_build)
-
-        expected = [access_module.access(instance, k) for k in range(instance.count)]
-        results = {}
-        barrier = threading.Barrier(4)
-
-        def worker(worker_id):
-            barrier.wait()
-            results[worker_id] = access_module.batch_access(
-                instance, range(instance.count)
-            )
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert len(builds) == 1, f"index built {len(builds)} times"
-        assert all(results[i] == expected for i in results)
-
-    def test_instance_pickles_without_lock_state(self):
-        import pickle
-
-        database = path_database()
-        mono = LexDirectAccess(PATH_QUERY, database, ORDER)
-        instance = mono._instance
-        access_module.batch_access(instance, range(min(4, instance.count)))
-        clone = pickle.loads(pickle.dumps(instance))
-        ranks = range(instance.count)
-        assert access_module.batch_access(clone, ranks) == access_module.batch_access(
-            instance, ranks
-        )

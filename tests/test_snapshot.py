@@ -19,12 +19,16 @@ import pytest
 
 from repro import Database, LexDirectAccess, LexOrder, Relation, parse_query
 from repro.exceptions import NotAnAnswerError, OutOfBoundsError
+from repro.obs import ACCESS_KERNELS, obs_enabled
+from tests.helpers import object_walk_answers as object_walk
 
 np = pytest.importorskip("numpy")
 
+from repro.core import access as object_access  # noqa: E402
 from repro.core.access import validate_ranks  # noqa: E402
 from repro.core.snapshot import (  # noqa: E402
     InstanceSnapshot,
+    SnapshotInstance,
     SnapshotPublisher,
     _encode_values,
     capture,
@@ -55,19 +59,6 @@ def db_json(tmp_path) -> str:
         }
     }))
     return str(path)
-
-
-def object_walk(access):
-    """All answers via the object walk (image and batch index stripped)."""
-    instance = access._instance
-    saved = instance._snapshot_image
-    instance._snapshot_image = None
-    instance._batch_index = None
-    try:
-        return [access.access(k) for k in range(access.count)]
-    finally:
-        instance._snapshot_image = saved
-        del instance._batch_index
 
 
 # ----------------------------------------------------------------------
@@ -113,15 +104,13 @@ class TestDescendingInverted:
         access = LexDirectAccess(QUERY, small_database(), order)
         answers = object_walk(access)
         instance = access._instance
-        saved = instance._snapshot_image
-        instance._snapshot_image = None
-        try:
-            for k, answer in enumerate(answers):
-                assert access.inverted_access(answer) == k
-            with pytest.raises(NotAnAnswerError):
-                access.inverted_access((10 ** 6, 10 ** 6, 10 ** 6))
-        finally:
-            instance._snapshot_image = saved
+        before = ACCESS_KERNELS.value(("inverted", "object"))
+        for k, answer in enumerate(answers):
+            assert object_access.inverted_access(instance, answer) == k
+        with pytest.raises(NotAnAnswerError):
+            object_access.inverted_access(instance, (10 ** 6, 10 ** 6, 10 ** 6))
+        moved = ACCESS_KERNELS.value(("inverted", "object")) - before
+        assert not obs_enabled() or moved >= len(answers)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +141,8 @@ class TestExactEncoding:
 class TestCaptureAndExecutor:
     def test_executor_installs_an_image_and_records_the_stage(self):
         access = LexDirectAccess(QUERY, small_database(), ORDER)
-        assert access._instance._snapshot_image is not None
+        assert installed(access._instance) is not None
+        assert isinstance(access._reader, SnapshotInstance)
         assert any(s.name == "snapshot" for s in access.report.stages)
 
     def test_empty_result_has_no_image(self):
@@ -167,17 +157,15 @@ class TestCaptureAndExecutor:
     def test_pickling_an_instance_drops_the_image(self):
         access = LexDirectAccess(QUERY, small_database(), ORDER)
         instance = access._instance
-        assert instance._snapshot_image is not None
         assert installed(instance) is not None
         clone = pickle.loads(pickle.dumps(instance))
-        assert getattr(clone, "_snapshot_image", None) is None
         assert installed(clone) is None
 
     def test_serving_stats_reports_the_installed_carrier(self):
         access = LexDirectAccess(QUERY, small_database(), ORDER)
         stats = serving_stats(access._instance)
         assert stats is not None and stats["carrier"] == "memory"
-        access._instance._snapshot_image = None
+        del access._instance._installed_snapshot
         assert serving_stats(access._instance) is None
 
     def test_pickling_a_sharded_instance_drops_the_image(self):
@@ -186,18 +174,18 @@ class TestCaptureAndExecutor:
         assert installed(instance) is not None
         clone = pickle.loads(pickle.dumps(instance))
         assert installed(clone) is None
-        assert all(
-            getattr(shard, "_snapshot_image", None) is None for shard in clone.shards
-        )
         assert clone.count == instance.count
 
     def test_sharded_build_installs_one_image_per_shard(self):
         access = LexDirectAccess(QUERY, small_database(), ORDER, shards=3)
         instance = access._instance
         assert instance.is_sharded
-        for shard in instance.shards:
-            if shard.count:
-                assert shard._snapshot_image is not None
+        image = installed(instance)
+        assert len(image.shards) == len(instance.shards)
+        assert [shard.count for shard in image.shards] == [
+            shard.count for shard in instance.shards
+        ]
+        assert access._reader.shards == image.shards
         stats = serving_stats(instance)
         assert stats is not None and stats["carrier"] == "memory"
 
