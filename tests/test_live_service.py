@@ -17,6 +17,8 @@ import urllib.request
 import pytest
 
 from repro import Database, Relation
+from repro.core.preprocessing import Bucket
+from repro.engine.backends import available_backends
 from repro.service import QueryService, make_server
 
 QUERY_TEXT = "Q(x, y, z) :- R(x, y), S(y, z)"
@@ -160,6 +162,64 @@ class TestPlanRebinding:
         )
         assert response["ok"]
         assert response["live"]["epoch"] == 1
+
+
+@pytest.mark.skipif("columnar" not in available_backends(), reason="needs NumPy")
+class TestServedReadsBuildNoBuckets:
+    """A columnar LEX plan serves from its image: no served op — prepare,
+    the read ops, a mutation and its refresh, a compaction — may decode a
+    layer's buckets."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = []
+        init = Bucket.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Bucket, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_no_served_op_builds_a_bucket(self, built, shards):
+        service = QueryService(max_plans=8)
+        rows_r = [(x, y) for x in range(12) for y in (x % 4, (x + 1) % 4)]
+        rows_s = [(y, z) for y in range(4) for z in (y, y + 2)]
+        service.register_database("demo", Database(
+            [Relation("R", ("x", "y"), rows_r), Relation("S", ("y", "z"), rows_s)],
+            backend="columnar",
+        ))
+
+        def ok(request):
+            response = service.execute(request)
+            assert response["ok"], response
+            return response
+
+        try:
+            plan = ok({"op": "prepare", "db": "demo", "query": QUERY_TEXT,
+                       "order": "x, y, z", "backend": "columnar",
+                       "shards": shards})["plan"]
+
+            def read_everything():
+                count = ok({"op": "count", "plan": plan})["count"]
+                answer = ok({"op": "access", "plan": plan, "k": count // 2})["answer"]
+                ok({"op": "batch_access", "plan": plan, "ks": [0, count - 1, 3]})
+                ok({"op": "range", "plan": plan, "lo": 1, "hi": count})
+                assert ok({"op": "inverted_access", "plan": plan,
+                           "answer": answer})["k"] == count // 2
+                engine = service.plan(plan).engine
+                assert engine.next_answer_index(answer) == count // 2
+
+            read_everything()
+            ok({"op": "insert", "db": "demo", "relation": "R", "rows": [[0, 3]]})
+            read_everything()
+            ok({"op": "compact", "db": "demo"})
+            read_everything()
+        finally:
+            service.close()
+        assert built == []
 
 
 class TestMutationValidation:

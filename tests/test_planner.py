@@ -1,6 +1,7 @@
 """Unit tests for the planner layer: plan IR, explain, executor, service/CLI."""
 
 import json
+import pickle
 
 import pytest
 
@@ -17,8 +18,12 @@ from repro import (
     explain,
     plan,
 )
+from repro.core.access import batch_access
+from repro.core.snapshot import installed
+from repro.engine.backends import available_backends
 from repro.exceptions import QueryStructureError
 from repro.planner import PLAN_MODES, PlanExecutor
+from repro.workloads.generators import generate_path_database
 
 PATH = ConjunctiveQuery(("x", "y", "z"), [Atom("R", ("x", "y")), Atom("S", ("y", "z"))])
 SINGLE = ConjunctiveQuery(("x", "y"), [Atom("R", ("x", "y"))])
@@ -164,6 +169,44 @@ class TestExecutor:
         assert p.boolean
         built = PlanExecutor(p, path_db()).build_lex()
         assert built.boolean_answers == [()]
+
+
+def columnar_layers(instance):
+    parts = instance.shards if getattr(instance, "is_sharded", False) else [instance]
+    return [layer for part in parts for layer in part.layers.values()
+            if layer.columnar is not None]
+
+
+@pytest.mark.skipif("columnar" not in available_backends(), reason="needs NumPy")
+class TestProcessPoolBuild:
+    """``use_processes=True`` columnar builds ship layers across a process
+    pool both ways; they must equal the serial build, and their layers'
+    buckets must cross as undecoded views."""
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        return generate_path_database(300, 25, seed=0, backend="columnar")
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("order", [
+        LexOrder(("x", "y", "z")), LexOrder(("z", "y", "x"), ("z",)),
+    ], ids=["x,y,z", "z desc,y,x"])
+    def test_process_pool_build_equals_serial(self, database, order, shards):
+        p = plan(PATH, order, backend="columnar", shards=shards)
+        serial = PlanExecutor(p, database).build_lex()
+        procs = PlanExecutor(p, database, workers=2, use_processes=True).build_lex()
+        assert procs.report.schedule == "processes"
+        ranks = list(range(serial.instance.count))
+        expected = batch_access(serial.instance, ranks)
+        assert installed(procs.instance).instance().page(ranks).tuples() == expected
+
+        layers = columnar_layers(procs.instance)
+        assert layers and all(layer._buckets is None for layer in layers)
+        assert batch_access(procs.instance, ranks) == expected
+        assert all(layer._buckets is not None for layer in layers)
+        shipped = pickle.loads(pickle.dumps(procs.instance))
+        assert all(layer._buckets is None for layer in columnar_layers(shipped))
+        assert batch_access(shipped, ranks) == expected
 
 
 class TestServiceExplain:
