@@ -51,7 +51,6 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
-from repro.benchharness.reporting import format_table
 from repro.core.classification import classify_all
 from repro.core.parser import parse_fds, parse_order, parse_query
 
@@ -266,6 +265,8 @@ def build_client_parser() -> argparse.ArgumentParser:
 # classify
 # ----------------------------------------------------------------------
 def classify_main(argv: List[str]) -> int:
+    from repro.benchharness.reporting import format_table
+
     parser = build_argument_parser()
     args = parser.parse_args(argv)
     try:
@@ -751,6 +752,8 @@ def _metric_rows(name: str, document: dict) -> List[tuple]:
 
 
 def metrics_main(argv: List[str]) -> int:
+    from repro.benchharness.reporting import format_table
+
     parser = build_metrics_parser()
     args = parser.parse_args(argv)
     base = args.url.rstrip("/")
@@ -831,6 +834,8 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def trace_main(argv: List[str]) -> int:
+    from repro.benchharness.reporting import format_table
+
     parser = build_trace_parser()
     args = parser.parse_args(argv)
     base = args.url.rstrip("/")
@@ -911,6 +916,8 @@ def build_profile_parser() -> argparse.ArgumentParser:
 
 
 def profile_main(argv: List[str]) -> int:
+    from repro.benchharness.reporting import format_table
+
     parser = build_profile_parser()
     args = parser.parse_args(argv)
     base = args.url.rstrip("/")

@@ -16,9 +16,13 @@ regardless of the storage dtype, so the downcast can never overflow.
 Because the domain is sorted, *code order equals value order*: sorting,
 grouping and binary searching can run entirely on the integer codes and still
 agree byte-for-byte with the row backend's tuple comparisons.  Decoding is a
-single fancy-indexing pass per column, and it returns the original Python
-objects (the domain array holds references, not converted scalars), so
-answers produced through this backend are identical to the row backend's.
+single fancy-indexing pass per column, and it returns values identical to the
+originals: a column of exact ``int`` values is encoded by NumPy and its
+domain holds Python ints equal to the inputs (same type, same repr), and
+every other column's domain holds references to the input objects
+themselves.  So answers produced through this backend are identical to the
+row backend's.  A storage keeps nothing but codes and domains; rows are
+decoded on demand.
 
 The module also hosts the vectorized relational kernels used by
 :mod:`repro.engine.operators` (semi-join, natural join, grouping) and by the
@@ -61,16 +65,42 @@ class ColumnEncodingError(ValueError):
     """Raised when a column cannot be dictionary-encoded (builder falls back)."""
 
 
+def _encode_int_column(values: Sequence) -> Optional[Tuple["_np.ndarray", "_np.ndarray"]]:
+    """NumPy encoding of a column of exact ``int`` values, or ``None``.
+
+    Applies only when every value's type is ``int`` itself (``bool`` stays
+    out) and the column fits int64.  Equal ints share one repr, so the
+    representation checks of the general path hold by construction, and
+    int64 order is Python's order.
+    """
+    if set(map(type, values)) != {int}:
+        return None
+    try:
+        column = _np.array(values, dtype=_np.int64)
+    except OverflowError:  # beyond int64: the general path keeps Python ints
+        return None
+    domain, inverse = _np.unique(column, return_inverse=True)
+    domain_array = _np.empty(len(domain), dtype=object)
+    domain_array[:] = domain.tolist()
+    return inverse.astype(code_dtype(len(domain)), copy=False), domain_array
+
+
 def _encode_column(values: Sequence) -> Tuple["_np.ndarray", "_np.ndarray"]:
     """Dictionary-encode one column; raises :class:`ColumnEncodingError`.
 
     The domain is sorted with Python comparisons so that code order equals
-    value order.  Rejected (the relation then falls back to row storage):
-    unhashable or mutually incomparable values, and columns mixing distinct
+    value order.  A column of exact ints takes :func:`_encode_int_column`,
+    whose domain holds Python ints equal to the inputs; every other column
+    takes the general path below, whose domain holds the input objects.
+    Rejected (the relation then falls back to row storage): unhashable or
+    mutually incomparable values, and columns mixing distinct
     representations of ``==``-equal values (``True`` vs ``1``, ``1`` vs
     ``1.0``, ``-0.0`` vs ``0.0``) — decoding those would canonicalize values
     and break the byte-identical-answers contract.
     """
+    encoded = _encode_int_column(values)
+    if encoded is not None:
+        return encoded
     try:
         domain = sorted(set(values))
     except TypeError as exc:
@@ -154,9 +184,7 @@ class ColumnarStorage(Storage):
                 domains.append(domain)
         except ColumnEncodingError:
             return RowStorage(rows)
-        storage = cls(codes, domains, len(rows))
-        storage._materialized = rows
-        return storage
+        return cls(codes, domains, len(rows))
 
     # ------------------------------------------------------------------
     # Storage interface
@@ -168,6 +196,11 @@ class ColumnarStorage(Storage):
         return len(self.codes)
 
     def materialize(self) -> List[Row]:
+        """The rows, decoded from codes and domains on first call and cached.
+
+        Nothing is pinned at construction, so a storage that is only ever
+        read through its codes (every built plan) never holds row tuples.
+        """
         if self._materialized is None:
             if not self.codes:  # nullary relation: rows are empty tuples
                 self._materialized = [()] * self.length

@@ -20,8 +20,10 @@ a tuple of strings, so fingerprints are stable across processes and restarts.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -461,40 +463,61 @@ def database_to_json(database: Database) -> Dict[str, object]:
     }
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC, restoring the state found on entry.
+
+    A load allocates a list and a tuple per row but creates no reference
+    cycles, so the collector's passes over them only ever find live
+    objects.  Nested or concurrent pauses leave the GC enabled as long as
+    it was enabled when the outermost one began.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def database_from_json(document: Mapping, backend: Optional[str] = None) -> Database:
-    """Build a :class:`Database` from ``{"relations": {name: {...}}}``."""
+    """Build a :class:`Database` from ``{"relations": {name: {...}}}``.
+
+    Rows must be arrays of values, as for the mutation ops
+    (:func:`decode_rows`); anything else answers ``bad_request``.
+    """
     relations_doc = document.get("relations")
     if not isinstance(relations_doc, Mapping):
         raise ServiceError("bad_request", "database document needs a 'relations' object")
     relations = []
-    for name, spec in relations_doc.items():
-        if not isinstance(spec, Mapping):
-            raise ServiceError("bad_request", f"relation {name!r} must be an object")
-        attributes = spec.get("attributes")
-        rows = spec.get("rows", [])
-        if not isinstance(attributes, (list, tuple)):
-            raise ServiceError("bad_request", f"relation {name!r} needs 'attributes'")
-        try:
-            relations.append(
-                Relation(
-                    name,
-                    tuple(attributes),
-                    [tuple(row) for row in rows],
-                    backend=backend,
-                )
-            )
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise ServiceError("bad_request", f"relation {name!r}: {exc}")
+    with _gc_paused():
+        for name, spec in relations_doc.items():
+            if not isinstance(spec, Mapping):
+                raise ServiceError("bad_request", f"relation {name!r} must be an object")
+            attributes = spec.get("attributes")
+            if not isinstance(attributes, (list, tuple)):
+                raise ServiceError("bad_request", f"relation {name!r} needs 'attributes'")
+            try:  # the rows list is a temporary: the relation keeps only its storage
+                relations.append(Relation(
+                    name, tuple(attributes), decode_rows(spec.get("rows", [])), backend=backend
+                ))
+            except ServiceError as exc:
+                raise ServiceError("bad_request", f"relation {name!r}: {exc}") from None
+            except ReproError:
+                raise
+            except Exception as exc:
+                raise ServiceError("bad_request", f"relation {name!r}: {exc}")
     return Database(relations)
 
 
 def load_database(path: str, backend: Optional[str] = None) -> Database:
-    """Load a database JSON document from a file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    return database_from_json(document, backend=backend)
+    """Load a database JSON document from a file (parse and encode run with
+    the cyclic GC paused, see :func:`_gc_paused`)."""
+    with _gc_paused():
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        return database_from_json(document, backend=backend)
 
 
 # ----------------------------------------------------------------------

@@ -209,3 +209,17 @@ class TestCLIVersionAndUsage:
             env=env, capture_output=True, text=True, check=True,
         )
         assert loaded.stdout.strip() == "False"
+
+    def test_cli_imports_no_bench_harness(self):
+        """``repro serve`` forks its workers from the CLI process, so importing
+        the CLI must not load the benchmark harness into every server."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('repro.benchharness')))"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert loaded.stdout.strip() == "[]"
