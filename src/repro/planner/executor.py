@@ -109,15 +109,24 @@ class LexBuild:
 
 @dataclass
 class SumBuild:
-    """The built structures of a SUM direct-access plan.
+    """The built structures of a SUM direct-access plan, as flat columns.
 
-    ``answers`` are the (projected) answers sorted by weight with the
-    deterministic tie-break; ``weights_sorted`` aligns with them.
+    ``answers`` holds the head values in rank order (weight, then the
+    deterministic ``repr`` tie-break).  With NumPy it is one ``count × width``
+    object array whose cells point into the projected columns' domains, so no
+    value is copied and no Python object is kept per answer; without NumPy
+    (and for a Boolean plan's at most one ``()``) it is a list of tuples.
+    ``weights_sorted`` aligns with it: an int64 / float64 / object column, or
+    a list.  ``summands`` pairs every weighed variable with the answer
+    position holding its value, in the order the build sums them, so an
+    answer's total can be recomputed from the answer alone; it is ``None``
+    when a weighed variable is not in the answer (an FD-extended plan).
     """
 
-    answers: List[Tuple]
-    weights_sorted: List[float]
+    answers: Sequence
+    weights_sorted: Sequence
     report: ExecutionReport
+    summands: Optional[Tuple[Tuple[str, int], ...]] = None
 
 
 # ----------------------------------------------------------------------
@@ -205,18 +214,23 @@ def _per_code(column: _CodedColumn, values: Sequence, dtype):
 
 
 def order_by_weight(storage, variables: Sequence[str], head: Sequence[int],
-                    weights: Weights) -> Tuple[List[Tuple], List]:
+                    weights: Weights) -> Tuple[Sequence, Sequence]:
     """The answers of ``storage`` sorted by SUM weight, and their weights.
 
     ``storage`` holds the distinct projected answer rows over ``variables``;
     ``head`` lists the positions that form the answer tuple (the original
-    free variables, in order).  The result is exactly what sorting the rows
+    free variables, in order).  The ranking is exactly what sorting the rows
     by ``(weights.answer_weight(variables, row), tuple(map(repr, answer)))``
     yields, equal value for value and type, ties in row order — but each
     distinct value is weighed and ``repr``-ranked once, and the per-row work
     is integer codes: totals summed column by column from ``0`` (as ``sum``
     does, so ``-0.0`` totals come out ``0.0``), then one stable sort keyed by
     the total and the head's tie ranks.
+
+    With NumPy the result stays flat: the answers are one ``n × len(head)``
+    object array gathered from the columns' domains by the sorted codes (its
+    cells are the domains' own objects), the weights one int64 / float64 /
+    object column.  Without NumPy they are a list of tuples and a list.
     """
     n = len(storage)
     columns = _coded_columns(storage, len(variables))
@@ -251,8 +265,10 @@ def order_by_weight(storage, variables: Sequence[str], head: Sequence[int],
     ties = [_per_code(column, ranks, _np.int64)[column.codes] for column, ranks in tied]
     key = _np.unique(total, return_inverse=True)[1] if dtype is object else total
     order = _np.lexsort(tuple(reversed(ties)) + (key,))
-    decoded = [column.domain[column.codes[order]].tolist() for column in answer_columns]
-    return list(zip(*decoded)), total[order].tolist()
+    answers = _np.empty((n, len(answer_columns)), dtype=object)
+    for position, column in enumerate(answer_columns):
+        answers[:, position] = column.domain[column.codes[order]]
+    return answers, total[order]
 
 
 class PlanExecutor:
@@ -439,8 +455,12 @@ class PlanExecutor:
                     answers_relation.storage, effective_free, head, weights)
                 stage.rows = len(answers)
 
+            summands = None
+            if len(head) == len(effective_free):
+                summands = tuple((variable, head.index(position))
+                                 for position, variable in enumerate(effective_free))
             self._finish(report, run_started)
-            return SumBuild(answers, weights_sorted, report)
+            return SumBuild(answers, weights_sorted, report, summands)
 
     # ------------------------------------------------------------------
     # Selection by LEX (Theorem 6.1 / 8.22)

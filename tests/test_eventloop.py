@@ -469,6 +469,17 @@ def _fd_count():
     return len(os.listdir("/proc/self/fd"))
 
 
+def _fd_targets():
+    """What each open fd points at (a failed fd assertion's message)."""
+    targets = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            targets[int(fd)] = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own directory fd, already closed
+            pass
+    return targets
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc fd accounting")
 class TestAbruptDisconnect:
@@ -596,11 +607,19 @@ class TestWithWorkers:
                         "ks": over_threshold_ranks(3),
                     }))
                     sock.close()  # gone before the worker frame returns
+                # The ten may still wait in the listen backlog, so the count
+                # can sit at the baseline before their fds even exist.  The
+                # loop accepts in arrival order, so once a later connection
+                # is answered all ten have been accepted.
+                barrier = connect(server)
+                barrier.sendall(raw_post("/healthz", None).replace(b"POST", b"GET"))
+                assert read_response(barrier)[0] == 200
+                barrier.close()
                 deadline = time.monotonic() + 5.0
                 if baseline is not None:
                     while _fd_count() > baseline and time.monotonic() < deadline:
                         time.sleep(0.05)
-                    assert _fd_count() <= baseline
+                    assert _fd_count() <= baseline, _fd_targets()
                 status, document = session.post_json("/v1/query", {
                     "op": "access", "plan": fingerprint, "k": 0,
                 })

@@ -274,6 +274,49 @@ class TestUnorderableInvertedAccess:
         assert response["error"]["code"] == "not_an_answer"
 
 
+class TestSumUnmatchableInvertedAccess:
+    """The SUM counterpart: an answer holding an unhashable value (a list, an
+    object) or a value its weights cannot weigh (a string under identity
+    weights) matches no answer, so it is ``not_an_answer`` on every backend
+    rather than an internal error — while an alias Python equality accepts
+    (``True`` for ``1``) still resolves to the answer it equals."""
+
+    SUM_QUERY = "Q(x, y) :- R(x, y)"
+    WEIGHTS = {
+        "identity": None,
+        "mapped": {"mappings": {"x": [[1, 3], [6, 1]]}, "default": 0},
+    }
+
+    def _request(self, backend, weights, answer):
+        request = {"op": "inverted_access", "db": "demo", "query": self.SUM_QUERY,
+                   "mode": "sum", "backend": backend, "answer": answer}
+        if self.WEIGHTS[weights] is not None:
+            request["weights"] = self.WEIGHTS[weights]
+        return request
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize(
+        "answer", [[[1], 2], [{"a": 1}, 2], [1, [2]], ["a", 5], [None, 2]],
+        ids=["list", "object", "list-second", "str", "null"])
+    def test_is_not_an_answer(self, service, backend, weights, answer):
+        response = service.execute(self._request(backend, weights, answer))
+        assert response["ok"] is False
+        assert response["error"]["code"] == "not_an_answer"
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    def test_every_answer_and_its_alias_resolve(self, service, backend, weights):
+        request = self._request(backend, weights, None)
+        answers = service.execute({**request, "op": "topk", "k": 10})["answers"]
+        assert sorted(map(tuple, answers)) == [(1, 2), (1, 5), (6, 2)]
+        for k, answer in enumerate(answers):
+            assert service.execute({**request, "answer": answer})["k"] == k
+            if answer[0] == 1:
+                alias = service.execute({**request, "answer": [True, answer[1]]})
+                assert alias["k"] == k
+
+
 class TestExecuteProtocol:
     def test_inline_spec_requests(self, service):
         base = {"db": "demo", "query": QUERY_TEXT, "order": "x, y, z"}

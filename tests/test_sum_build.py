@@ -3,10 +3,14 @@
 Weights are validated where they enter — a weight that cannot rank answers
 (a string, a bool, NaN, ±inf) raises :class:`WeightError` in ``Weights`` and
 ``bad_request`` at the service's ``prepare``.  The build itself weighs each
-distinct value that occurs once, never once per answer row.
+distinct value that occurs once, never once per answer row, and a served
+plan keeps flat columns, never a Python object per answer.
 """
 
+import gc
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -158,3 +162,69 @@ def test_build_weighs_each_distinct_value_once(monkeypatch):
     stats = service.execute({"op": "stats"})["stats"]
     (entry,) = [plan for plan in stats["plans"] if plan["plan"] == prepared["plan"]]
     assert "score_and_sort" in [stage["name"] for stage in entry["build"]["stages"]]
+
+
+# ----------------------------------------------------------------------
+# Guard: a served SUM plan keeps flat columns, no Python object per answer
+# ----------------------------------------------------------------------
+@pytest.mark.skipif("columnar" not in available_backends(), reason="needs NumPy")
+class TestServedSumPlanKeepsNoPerAnswerObjects:
+    """After prepare and every read op — ``inverted_access`` and ``topk``
+    included — a SUM engine holds its answers as one object matrix and one
+    weight column: no list, tuple or dict as long as its answer count, and
+    far fewer retained bytes per answer than boxed tuples plus an index dict
+    (~165 B each) took."""
+
+    ROWS = 20_000
+    QUERY = "Q(id, c, n, e) :- Results(id, c, n, e)"
+    WEIGHTS = {
+        "mappings": {variable: [[value, factor * value] for value in range(101)]
+                     for variable, factor in (("c", 5), ("n", 2), ("e", 3))},
+        "default": 0,
+    }
+
+    @pytest.mark.parametrize("backend", ["row", "columnar"])
+    def test_prepare_and_reads_keep_flat_columns(self, backend):
+        rng = random.Random(7)
+        rows = [(i, rng.randrange(101), rng.randrange(101), rng.randrange(101))
+                for i in range(self.ROWS)]
+        service = QueryService(max_plans=4)
+        service.register_database("scores", Database(
+            [Relation("Results", ("id", "c", "n", "e"), rows)], backend=backend))
+        spec = {"db": "scores", "query": self.QUERY, "mode": "sum",
+                "weights": self.WEIGHTS}
+
+        def ok(request):
+            response = service.execute(request)
+            assert response["ok"], response
+            return response
+
+        # A first, smaller plan settles imports and caches outside the window.
+        ok({"op": "prepare", "db": "scores", "mode": "sum",
+            "query": "Q(id, c) :- Results(id, c, n, e)"})
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prepared = ok({**spec, "op": "prepare"})
+            plan, count = prepared["plan"], prepared["count"]
+            answer = ok({"op": "access", "plan": plan, "k": count // 2})["answer"]
+            ok({"op": "batch_access", "plan": plan, "ks": [0, count - 1, 3]})
+            ok({"op": "range", "plan": plan, "lo": 10, "hi": 60})
+            assert len(ok({"op": "topk", "plan": plan, "k": 100})["answers"]) == 100
+            assert ok({"op": "inverted_access", "plan": plan,
+                       "answer": answer})["k"] == count // 2
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert count == self.ROWS
+        engine = service.plan(plan).engine
+        boxed = {name: len(value) for name, value in vars(engine).items()
+                 if isinstance(value, (list, tuple, dict)) and len(value) >= count}
+        assert boxed == {}
+        # 4 object cells + 1 int64 weight = 40 B per answer, plus plan overhead.
+        assert retained / count < 64, retained / count
