@@ -23,13 +23,18 @@ The image has three interchangeable carriers:
 * **memory** — plain NumPy arrays in-process (what the executor installs on
   every built instance; its facade reads through it);
 * **shm** — one ``multiprocessing.shared_memory`` block per image, named by
-  plan fingerprint + epoch (:func:`shm_name`); attaching is an O(1) map plus
-  a manifest parse, and :class:`SnapshotPublisher` refcounts each epoch so a
-  ``LiveInstance`` swap publishes the new buffer set atomically and unlinks
-  the retired one only when released (already-attached readers keep serving
-  from their mapping — POSIX unlink removes the name, not the memory);
+  plan fingerprint + epoch (:func:`shm_name`); publishing computes the
+  layout once, creates the block at its final size and writes the header,
+  manifest, pickled dictionaries and arrays straight into it (no serialized
+  copy in between); attaching is an O(1) map plus a manifest parse, and
+  :class:`SnapshotPublisher` refcounts each epoch so a ``LiveInstance`` swap
+  publishes the new buffer set atomically and unlinks the retired one only
+  when released (already-attached readers keep serving from their mapping —
+  POSIX unlink removes the name, not the memory);
 * **file** — the same byte layout mmap'd from disk (``repro snapshot
-  save``/``load``): a restart re-maps instead of re-preprocessing.
+  save``/``load``; ``save`` writes through a mapping of the file, by the
+  same writer as ``publish`` and ``to_bytes``): a restart re-maps instead of
+  re-preprocessing.
 
 On top of the same arrays, :class:`FlatShard` is the *fused scalar kernel*:
 ``access``/``inverted_access``/``next_answer_index`` walk the layers with
@@ -78,7 +83,6 @@ columnar producer needs no check of its own) makes :func:`capture` return
 
 from __future__ import annotations
 
-import io
 import json
 import mmap as _mmap
 import pickle
@@ -86,7 +90,7 @@ import struct
 import sys
 import time
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.access import validate_range, validate_rank, validate_ranks
 from repro.core.orders import LexOrder, order_key
@@ -110,6 +114,17 @@ SNAPSHOT_VERSION = 1
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+class _Layout(NamedTuple):
+    """The byte layout of one image (see :meth:`InstanceSnapshot.to_bytes`)."""
+
+    manifest: bytes                # manifest JSON, array table included
+    domains: bytes                 # pickled value dictionaries
+    table: List[Dict[str, object]]  # per array: name, dtype, size, offset
+    domains_at: int                # where the dictionaries start
+    base: int                      # where the aligned arrays start
+    size: int                      # total bytes
 
 
 # ----------------------------------------------------------------------
@@ -820,8 +835,9 @@ class InstanceSnapshot:
 
     @property
     def nbytes(self) -> int:
-        """Serialized size (arrays + manifest + pickled dictionaries)."""
-        return len(self.to_bytes())
+        """Serialized size (arrays + manifest + pickled dictionaries), taken
+        from the layout: no array is copied to measure it."""
+        return self._layout().size
 
     def install(self, instance) -> None:
         """Mark this image as ``instance``'s own (see :func:`installed`)."""
@@ -838,12 +854,19 @@ class InstanceSnapshot:
         ``[magic][manifest len][domains len][manifest JSON][domains pickle]
         [aligned raw arrays]`` — array offsets (relative to the aligned
         array base) are listed in the manifest, so loading is one parse plus
-        ``np.frombuffer`` views.
+        ``np.frombuffer`` views.  :meth:`save` and :meth:`publish` write the
+        same bytes straight into their file or block.
         """
+        layout = self._layout()
+        buffer = bytearray(layout.size)
+        self._write(buffer, layout)
+        return bytes(buffer)
+
+    def _layout(self) -> "_Layout":
+        """Where each part of the byte image goes; copies no array."""
         table: List[Dict[str, object]] = []
         offset = 0
-        names = sorted(self._arrays)
-        for name in names:
+        for name in sorted(self._arrays):
             array = self._arrays[name]
             offset = _align(offset)
             table.append({
@@ -857,22 +880,28 @@ class InstanceSnapshot:
         manifest["arrays"] = table
         manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
         domain_blob = pickle.dumps(self._domains, protocol=4)
+        domains_at = _align(len(_MAGIC) + _HEADER.size + len(manifest_bytes))
+        base = _align(domains_at + len(domain_blob))
+        return _Layout(manifest_bytes, domain_blob, table, domains_at, base, base + offset)
 
-        out = io.BytesIO()
-        out.write(_MAGIC)
-        out.write(_HEADER.pack(len(manifest_bytes), len(domain_blob)))
-        out.write(manifest_bytes)
-        position = out.tell()
-        out.write(b"\0" * (_align(position) - position))
-        out.write(domain_blob)
-        position = out.tell()
-        base = _align(position)
-        out.write(b"\0" * (base - position))
-        for name, entry in zip(names, table):
-            position = out.tell() - base
-            out.write(b"\0" * (entry["offset"] - position))
-            out.write(np.ascontiguousarray(self._arrays[name]).tobytes())
-        return out.getvalue()
+    def _write(self, buffer, layout: "_Layout") -> None:
+        """Write the image into a zero-filled writable ``buffer`` of at least
+        ``layout.size`` bytes (padding is left as found)."""
+        view = memoryview(buffer)
+        try:
+            manifest_at = len(_MAGIC) + _HEADER.size
+            view[:len(_MAGIC)] = _MAGIC
+            _HEADER.pack_into(view, len(_MAGIC), len(layout.manifest), len(layout.domains))
+            view[manifest_at:manifest_at + len(layout.manifest)] = layout.manifest
+            view[layout.domains_at:layout.domains_at + len(layout.domains)] = layout.domains
+            for entry in layout.table:
+                if entry["size"]:
+                    np.frombuffer(
+                        view, dtype=np.dtype(entry["dtype"]), count=entry["size"],
+                        offset=layout.base + entry["offset"],
+                    )[...] = self._arrays[entry["name"]]
+        finally:
+            view.release()
 
     @classmethod
     def from_buffer(
@@ -941,11 +970,14 @@ class InstanceSnapshot:
 
     # -- file carrier ----------------------------------------------------
     def save(self, path: str) -> int:
-        """Write the image to ``path``; returns the byte size."""
-        data = self.to_bytes()
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return len(data)
+        """Write the image to ``path`` through a mapping of the file sized
+        up front; returns the byte size."""
+        layout = self._layout()
+        with open(path, "w+b") as handle:
+            handle.truncate(layout.size)
+            with _mmap.mmap(handle.fileno(), layout.size) as mapped:
+                self._write(mapped, layout)
+        return layout.size
 
     @classmethod
     def load(cls, path: str) -> "InstanceSnapshot":
@@ -956,7 +988,8 @@ class InstanceSnapshot:
 
     # -- shared-memory carrier -------------------------------------------
     def publish(self, name: Optional[str] = None):
-        """Copy the image into a named shared-memory block; returns the block.
+        """Write the image into a new named shared-memory block of its final
+        size (no intermediate copy); returns the block.
 
         The caller owns the block (and must eventually ``unlink`` it —
         :class:`SnapshotPublisher` does the refcounting for live serving).
@@ -965,9 +998,14 @@ class InstanceSnapshot:
 
         if name is None:
             name = shm_name(self.fingerprint, self.epoch)
-        data = self.to_bytes()
-        block = shared_memory.SharedMemory(name=name, create=True, size=len(data))
-        block.buf[: len(data)] = data
+        layout = self._layout()
+        block = shared_memory.SharedMemory(name=name, create=True, size=layout.size)
+        try:
+            self._write(block.buf, layout)
+        except BaseException:
+            block.close()
+            block.unlink()
+            raise
         _OWNED_NAMES.add(block.name)
         return block
 

@@ -69,6 +69,17 @@ class Storage(ABC):
         """The rows as a list of Python tuples (implementations may cache)."""
 
     @abstractmethod
+    def contains(self, row: Row) -> bool:
+        """Whether the tuple ``row`` is one of the rows (set-probe semantics:
+        ``==``-equal values match, an unhashable row raises ``TypeError``)."""
+
+    @abstractmethod
+    def apply_delta(self, deleted: Sequence[Row], inserted: Sequence[Row]) -> "Storage":
+        """The rows without any row equal to one of ``deleted``, then
+        ``inserted`` appended in order: the storage this backend builds from
+        that row list (re-encoding it need not happen)."""
+
+    @abstractmethod
     def take(self, indices: Sequence[int]) -> "Storage":
         """Rows at the given indices, in the given order."""
 

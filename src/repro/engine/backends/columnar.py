@@ -22,7 +22,10 @@ domain holds Python ints equal to the inputs (same type, same repr), and
 every other column's domain holds references to the input objects
 themselves.  So answers produced through this backend are identical to the
 row backend's.  A storage keeps nothing but codes and domains; rows are
-decoded on demand.
+decoded on demand.  Membership (:meth:`ColumnarStorage.contains`) and a live
+delta (:meth:`ColumnarStorage.apply_delta`: deletions by ``np.isin`` over
+packed row keys, insertions merged into the sorted domains under the same
+representation guards as encoding) never decode a row.
 
 The module also hosts the vectorized relational kernels used by
 :mod:`repro.engine.operators` (semi-join, natural join, grouping) and by the
@@ -34,6 +37,7 @@ pure accelerators, never semantic forks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.backends.base import Row, Storage, register_backend
@@ -85,6 +89,33 @@ def _encode_int_column(values: Sequence) -> Optional[Tuple["_np.ndarray", "_np.n
     return inverse.astype(code_dtype(len(domain)), copy=False), domain_array
 
 
+#: For these types, same-type equality implies an identical repr — except
+#: float signed zero, which gets its own check — so decoding the set's
+#: representative cannot change the value's observable representation.
+_EXACT_TYPES = (int, str, float, bool, bytes)
+
+
+def _check_representative(representative, value) -> None:
+    """Reject decoding ``representative`` in place of the ``==``-equal ``value``
+    when the two are distinguishable; raises :class:`ColumnEncodingError`."""
+    value_type = type(value)
+    if value_type is not type(representative):
+        raise ColumnEncodingError(
+            "mixed representations of equal values: "
+            f"{representative!r} vs {value!r}"
+        )
+    if value_type is float:
+        if value == 0.0 and str(representative) != str(value):
+            raise ColumnEncodingError("column mixes -0.0 and 0.0")
+    elif value_type not in _EXACT_TYPES and repr(representative) != repr(value):
+        # e.g. Decimal('1.0') vs Decimal('1.00'): == holds but the
+        # representative is distinguishable from the original.
+        raise ColumnEncodingError(
+            "equal values with distinguishable representations: "
+            f"{representative!r} vs {value!r}"
+        )
+
+
 def _encode_column(values: Sequence) -> Tuple["_np.ndarray", "_np.ndarray"]:
     """Dictionary-encode one column; raises :class:`ColumnEncodingError`.
 
@@ -93,17 +124,18 @@ def _encode_column(values: Sequence) -> Tuple["_np.ndarray", "_np.ndarray"]:
     whose domain holds Python ints equal to the inputs; every other column
     takes the general path below, whose domain holds the input objects.
     Rejected (the relation then falls back to row storage): unhashable or
-    mutually incomparable values, and columns mixing distinct
-    representations of ``==``-equal values (``True`` vs ``1``, ``1`` vs
-    ``1.0``, ``-0.0`` vs ``0.0``) — decoding those would canonicalize values
-    and break the byte-identical-answers contract.
+    mutually incomparable values (a comparison raising ``TypeError``, or an
+    ``ArithmeticError`` such as ``Decimal`` against NaN), and columns mixing
+    distinct representations of ``==``-equal values (``True`` vs ``1``,
+    ``1`` vs ``1.0``, ``-0.0`` vs ``0.0``) — decoding those would
+    canonicalize values and break the byte-identical-answers contract.
     """
     encoded = _encode_int_column(values)
     if encoded is not None:
         return encoded
     try:
         domain = sorted(set(values))
-    except TypeError as exc:
+    except (TypeError, ArithmeticError) as exc:
         raise ColumnEncodingError(str(exc)) from None
     for value in domain:
         if value != value:  # NaN: comparisons return False instead of raising,
@@ -111,32 +143,12 @@ def _encode_column(values: Sequence) -> Tuple["_np.ndarray", "_np.ndarray"]:
             raise ColumnEncodingError("column contains NaN (no total order)")
     index = {value: code for code, value in enumerate(domain)}
 
-    # For these types, same-type equality implies an identical repr — except
-    # float signed zero, which gets its own check — so decoding the set's
-    # representative cannot change the value's observable representation.
-    exact_types = (int, str, float, bool, bytes)
-
     def codes_checked():
         for value in values:
             code = index[value]
             representative = domain[code]
             if representative is not value:
-                value_type = type(value)
-                if value_type is not type(representative):
-                    raise ColumnEncodingError(
-                        "mixed representations of equal values: "
-                        f"{representative!r} vs {value!r}"
-                    )
-                if value_type is float:
-                    if value == 0.0 and str(representative) != str(value):
-                        raise ColumnEncodingError("column mixes -0.0 and 0.0")
-                elif value_type not in exact_types and repr(representative) != repr(value):
-                    # e.g. Decimal('1.0') vs Decimal('1.00'): == holds but the
-                    # representative is distinguishable from the original.
-                    raise ColumnEncodingError(
-                        "equal values with distinguishable representations: "
-                        f"{representative!r} vs {value!r}"
-                    )
+                _check_representative(representative, value)
             yield code
 
     codes = _np.fromiter(codes_checked(), dtype=code_dtype(len(domain)), count=len(values))
@@ -145,12 +157,74 @@ def _encode_column(values: Sequence) -> Tuple["_np.ndarray", "_np.ndarray"]:
     return codes, domain_array
 
 
+def _merge_domain(
+    domain: "_np.ndarray", index: Dict[object, int], values: Sequence
+) -> Tuple[Optional["_np.ndarray"], "_np.ndarray", "_np.ndarray"]:
+    """Encode ``values`` against a sorted ``domain``, adding the values it lacks.
+
+    Returns ``(slots, merged, codes)``: ``merged`` is the sorted domain with
+    the new values inserted, ``slots[c]`` the merged code of old code ``c``
+    (``None`` when no value is new, so ``merged`` is ``domain`` itself) and
+    ``codes`` the merged codes of ``values``.  Raises
+    :class:`ColumnEncodingError` for whatever :func:`_encode_column` would
+    reject: a value equal to but distinguishable from its representative,
+    NaN, or a new value that does not order strictly between its neighbours.
+    """
+    fresh: Dict[object, object] = {}
+    found: List[Optional[int]] = []
+    try:
+        for value in values:
+            code = index.get(value)
+            if code is None:
+                if value != value:
+                    raise ColumnEncodingError("column contains NaN (no total order)")
+                representative = fresh.setdefault(value, value)
+            else:
+                representative = domain[code]
+            if representative is not value:
+                _check_representative(representative, value)
+            found.append(code)
+        if not fresh:
+            return None, domain, _np.array(found, dtype=_np.int64)
+        ordered = sorted(fresh)
+        positions = [bisect_left(domain, value) for value in ordered]
+        size = len(domain)
+        ordered_strictly = all(a < b for a, b in zip(ordered, ordered[1:])) and all(
+            (p == 0 or domain[p - 1] < value) and (p == size or value < domain[p])
+            for value, p in zip(ordered, positions)
+        )
+    except (TypeError, ArithmeticError) as exc:  # unhashable or unorderable values
+        raise ColumnEncodingError(str(exc)) from None
+    if not ordered_strictly:
+        raise ColumnEncodingError("new values do not order against the domain")
+    positions = _np.array(positions, dtype=_np.int64)
+    fresh_slots = positions + _np.arange(len(ordered), dtype=_np.int64)
+    old_codes = _np.arange(size, dtype=_np.int64)
+    slots = old_codes + _np.searchsorted(positions, old_codes, side="right")
+    merged = _np.empty(size + len(ordered), dtype=object)
+    merged[slots] = domain
+    for slot, value in zip(fresh_slots.tolist(), ordered):
+        merged[slot] = value
+    rank = {value: i for i, value in enumerate(ordered)}
+    codes = _np.fromiter(
+        (
+            slots[code] if code is not None else fresh_slots[rank[value]]
+            for code, value in zip(found, values)
+        ),
+        dtype=_np.int64,
+        count=len(found),
+    )
+    return slots, merged, codes
+
+
 class ColumnarStorage(Storage):
     """Dictionary-encoded columnar storage of one relation."""
 
     backend_name = "columnar"
 
-    __slots__ = ("codes", "domains", "length", "_materialized", "_domain_indexes")
+    __slots__ = (
+        "codes", "domains", "length", "_materialized", "_domain_indexes", "_member_keys",
+    )
 
     def __init__(
         self,
@@ -163,6 +237,7 @@ class ColumnarStorage(Storage):
         self.length = length
         self._materialized: Optional[List[Row]] = None
         self._domain_indexes: List[Optional[Dict[object, int]]] = [None] * len(codes)
+        self._member_keys: Optional["_np.ndarray"] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -202,12 +277,113 @@ class ColumnarStorage(Storage):
         read through its codes (every built plan) never holds row tuples.
         """
         if self._materialized is None:
-            if not self.codes:  # nullary relation: rows are empty tuples
-                self._materialized = [()] * self.length
-            else:
-                decoded = [domain[col] for domain, col in zip(self.domains, self.codes)]
-                self._materialized = list(zip(*decoded)) if self.length else []
+            self._materialized = self._decode()
         return self._materialized
+
+    def _decode(self) -> List[Row]:
+        if not self.codes:  # nullary relation: rows are empty tuples
+            return [()] * self.length
+        decoded = [domain[col] for domain, col in zip(self.domains, self.codes)]
+        return list(zip(*decoded)) if self.length else []
+
+    def contains(self, row: Row) -> bool:
+        """Membership by codes: one ``domain_index`` probe per value, then a
+        binary search of the sorted row keys (built on first call)."""
+        hash(row)  # an unhashable row raises TypeError, as a set probe would
+        codes = self._row_codes(row)
+        if codes is None:
+            return False
+        if not codes:  # nullary relation: () is a row iff there are rows
+            return self.length > 0
+        positions = range(len(self.codes))
+        if self._member_keys is None:
+            self._member_keys = _np.sort(self.row_keys(positions))
+        keys = self._member_keys
+        sizes = self._key_sizes(positions)
+        if keys.dtype == _np.int64:
+            # Packed: a Python-int probe and ``bisect`` keep the test in
+            # Python; a NumPy search releases the GIL, and a writer probing
+            # row by row would then re-queue for it behind the serving loop.
+            probe = 0
+            for code, size in zip(codes, sizes):
+                probe = probe * size + code
+            at = bisect_left(keys, probe)
+        else:
+            probe = _row_keys(
+                [_np.array([code], dtype=column.dtype)
+                 for code, column in zip(codes, self.codes)],
+                sizes,
+            )[0]
+            at = int(keys.searchsorted(probe))
+        return at < len(keys) and bool(keys[at] == probe)
+
+    def apply_delta(self, deleted: Sequence[Row], inserted: Sequence[Row]) -> Storage:
+        """The rows minus ``deleted`` plus ``inserted``, without decoding a row.
+
+        Deletions are one ``np.isin`` over packed row keys; inserted values
+        are encoded against the existing domains (:func:`_merge_domain`),
+        then unused domain values are dropped — so the result equals
+        ``from_rows(kept rows + inserted)`` code for code.  What the merge
+        cannot take exactly (a value the encoding guards reject, deletions
+        from a key space too large to pack, a nullary relation) is
+        re-encoded from rows, row-storage fallback included.
+        """
+        merged = self._merged_delta(deleted, inserted) if self.codes else None
+        if merged is not None:
+            return merged
+        doomed = set(deleted)
+        rows = [row for row in (self._materialized or self._decode()) if row not in doomed]
+        rows.extend(inserted)
+        return ColumnarStorage.from_rows(rows, len(self.codes))
+
+    def _merged_delta(
+        self, deleted: Sequence[Row], inserted: Sequence[Row]
+    ) -> Optional["ColumnarStorage"]:
+        keep = None
+        doomed = [codes for codes in map(self._row_codes, deleted) if codes is not None]
+        if doomed:
+            sizes = self._key_sizes(range(len(self.codes)))
+            keys = pack_codes(self.codes, sizes)
+            if keys is None:
+                return None
+            doomed_keys = pack_codes(
+                [_np.array(column, dtype=_np.int64) for column in zip(*doomed)], sizes
+            )
+            keep = ~_np.isin(keys, doomed_keys)
+        try:
+            columns = [
+                _merge_domain(domain, self.domain_index(p), [row[p] for row in inserted])
+                for p, domain in enumerate(self.domains)
+            ]
+        except ColumnEncodingError:
+            return None
+        codes: List[_np.ndarray] = []
+        domains: List[_np.ndarray] = []
+        for old, (slots, domain, added) in zip(self.codes, columns):
+            kept = old if keep is None else old[keep]
+            if slots is not None:
+                kept = slots[kept]
+            column = _np.concatenate((kept.astype(_np.int64, copy=False), added))
+            used = _np.zeros(len(domain), dtype=bool)
+            used[column] = True
+            if not used.all():  # values only deleted rows held leave the domain
+                column = (_np.cumsum(used) - 1)[column]
+                domain = domain[used]
+            codes.append(column.astype(code_dtype(len(domain)), copy=False))
+            domains.append(domain)
+        return ColumnarStorage(codes, domains, len(codes[0]))
+
+    def _row_codes(self, row: Row) -> Optional[List[int]]:
+        """Per-column codes of ``row``; ``None`` when it cannot be a row here."""
+        if len(row) != len(self.codes):
+            return None
+        codes = []
+        for position, value in enumerate(row):
+            code = self.domain_index(position).get(value)
+            if code is None:
+                return None
+            codes.append(code)
+        return codes
 
     def take(self, indices) -> "ColumnarStorage":
         idx = _np.asarray(indices, dtype=_np.int64)
@@ -272,14 +448,19 @@ class ColumnarStorage(Storage):
         positions = list(positions)
         if not positions:
             return _np.zeros(self.length, dtype=_np.int64)
-        sizes = [max(1, len(self.domains[p])) for p in positions]
-        packed = pack_codes([self.codes[p] for p in positions], sizes)
-        if packed is not None:
-            return packed
-        stacked = _np.ascontiguousarray(
-            _np.stack([self.codes[p] for p in positions], axis=1)
-        )
-        return stacked.view([("", stacked.dtype)] * stacked.shape[1]).ravel()
+        return _row_keys([self.codes[p] for p in positions], self._key_sizes(positions))
+
+    def _key_sizes(self, positions: Sequence[int]) -> List[int]:
+        return [max(1, len(self.domains[p])) for p in positions]
+
+
+def _row_keys(columns: Sequence["_np.ndarray"], sizes: Sequence[int]) -> "_np.ndarray":
+    """Packed int64 keys of the rows, or byte-view keys when they do not pack."""
+    packed = pack_codes(columns, sizes)
+    if packed is not None:
+        return packed
+    stacked = _np.ascontiguousarray(_np.stack(columns, axis=1))
+    return stacked.view([("", stacked.dtype)] * stacked.shape[1]).ravel()
 
 
 def pack_codes(

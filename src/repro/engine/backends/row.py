@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.engine.backends.base import Row, Storage, register_backend
 
@@ -16,10 +16,11 @@ class RowStorage(Storage):
 
     backend_name = "row"
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_members")
 
     def __init__(self, rows: List[Row]) -> None:
         self._rows = rows
+        self._members: Optional[FrozenSet[Row]] = None
 
     @classmethod
     def from_rows(cls, rows: List[Row], arity: int) -> "RowStorage":
@@ -33,6 +34,17 @@ class RowStorage(Storage):
 
     def materialize(self) -> List[Row]:
         return self._rows
+
+    def contains(self, row: Row) -> bool:
+        if self._members is None:
+            self._members = frozenset(self._rows)
+        return row in self._members
+
+    def apply_delta(self, deleted: Sequence[Row], inserted: Sequence[Row]) -> "RowStorage":
+        doomed = set(deleted)
+        rows = [row for row in self._rows if row not in doomed]
+        rows.extend(inserted)
+        return RowStorage(rows)
 
     def take(self, indices: Sequence[int]) -> "RowStorage":
         rows = self._rows

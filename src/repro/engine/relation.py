@@ -134,7 +134,7 @@ class Relation:
         return iter(self._storage.materialize())
 
     def __contains__(self, row: Sequence) -> bool:
-        return tuple(row) in set(self._storage.materialize())
+        return self._storage.contains(tuple(row))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
@@ -260,6 +260,12 @@ class Relation:
     def with_rows(self, rows: Iterable[Sequence], name: Optional[str] = None) -> "Relation":
         """A relation with the same schema but different rows."""
         return Relation(name or self._name, self._attributes, rows, backend=self.backend)
+
+    def with_delta(self, deleted: Sequence[Row], inserted: Sequence[Row]) -> "Relation":
+        """``with_rows`` of the rows minus ``deleted`` plus ``inserted``
+        (appended), computed by the storage without a row list."""
+        storage = self._storage.apply_delta(deleted, inserted)
+        return Relation._from_storage(self._name, self._attributes, storage)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -11,7 +11,10 @@ Three views of the state are exposed:
 
 * :meth:`LiveDatabase.current` — the net database (base − deleted ∪ inserted)
   as a plain immutable :class:`Database`, cached per epoch, so one-shot
-  consumers (selection, re-registration-free rebuilds) always see live data;
+  consumers (selection, re-registration-free rebuilds) always see live data.
+  Each mutated relation is built by its storage's ``apply_delta``: on the
+  columnar backend an ``np.isin`` over packed row keys and a domain merge,
+  with no base row decoded (the result equals re-encoding the row list);
 * :meth:`LiveDatabase.state` — the ``(epoch, current database)`` pair read
   atomically, which is what builders use to tag the snapshot they build from;
 * :meth:`LiveDatabase.delta_since` — the net tuple delta between an arbitrary
@@ -25,6 +28,9 @@ reader whose snapshot predates the floor receives ``None`` from
 ``delta_since`` and falls back to a full rebuild — a deliberate self-healing
 degradation rather than unbounded memory growth.
 
+Mutations test a row's presence in the base with ``row in relation``, which
+the storage answers itself (columnar: ``domain_index`` lookups plus a binary
+search of sorted packed row keys), so no set of base tuples is ever built.
 Every mutation runs the same consistency checks the registration path
 applies: the relation must exist, rows must match its arity, and all values
 must be hashable (set semantics).  Violations raise
@@ -35,7 +41,7 @@ structured client error, never a traceback.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.obs import MUTATION_ROWS, MUTATIONS
@@ -108,7 +114,6 @@ class LiveDatabase:
         self._log: List[Tuple[int, str, str, Row]] = []
         #: ``delta_since(e)`` is answerable for every ``e >= _log_floor``.
         self._log_floor = 0
-        self._base_rows: Dict[str, FrozenSet[Row]] = {}
         self._current: Optional[Tuple[int, Database]] = None
 
     # ------------------------------------------------------------------
@@ -135,13 +140,13 @@ class LiveDatabase:
 
         Caller holds the lock; only relations with a non-empty *net* delta
         are included — mutations that cancelled out leave empty entries
-        behind, and re-encoding an unchanged columnar relation would be
-        ``O(n)``.
+        behind, and applying an empty delta to a columnar relation would
+        still be ``O(n)``.
         """
         return [
             (
                 self._base.relation(name),
-                set(self._deleted.get(name, ())),
+                list(self._deleted.get(name, ())),
                 list(self._inserted.get(name, ())),
             )
             for name in set(self._inserted) | set(self._deleted)
@@ -149,20 +154,20 @@ class LiveDatabase:
         ]
 
     def _build_current(self, plan) -> Database:
-        replaced = []
-        for relation, deleted, inserted in plan:
-            rows = [row for row in relation if row not in deleted]
-            rows.extend(inserted)
-            replaced.append(relation.with_rows(rows))
+        replaced = [
+            relation.with_delta(deleted, inserted)
+            for relation, deleted, inserted in plan
+        ]
         return self._base.with_relations(replaced) if replaced else self._base
 
     def _snapshot_current(self) -> Tuple[int, Database]:
         """``(epoch, net database at that epoch)`` — a consistent pair.
 
-        The relation re-encode runs outside the lock (it is ``O(n)`` on the
-        columnar backend), so concurrent readers and writers are never
-        stalled behind a materialization; the pair stays consistent because
-        the work items were snapshotted under the lock at ``epoch``.
+        The relation rebuild runs outside the lock (``apply_delta`` is
+        ``O(n)`` vectorized work on the columnar backend), so concurrent
+        readers and writers are never stalled behind a materialization; the
+        pair stays consistent because the work items were snapshotted under
+        the lock at ``epoch``.
         """
         with self._lock:
             epoch = self._epoch
@@ -186,13 +191,6 @@ class LiveDatabase:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def _rows_of(self, relation: str) -> FrozenSet[Row]:
-        cached = self._base_rows.get(relation)
-        if cached is None:
-            cached = frozenset(self._base.relation(relation))
-            self._base_rows[relation] = cached
-        return cached
-
     def insert(self, relation: str, rows: Sequence) -> int:
         """Insert tuples; returns how many actually changed the state.
 
@@ -202,14 +200,14 @@ class LiveDatabase:
         """
         with self._lock:
             validated = validate_rows(self._base, relation, rows)
-            base_rows = self._rows_of(relation)
+            base = self._base.relation(relation)
             inserted = self._inserted.setdefault(relation, {})
             deleted = self._deleted.setdefault(relation, {})
             applied: List[Row] = []
             for row in validated:
                 if row in deleted:
                     del deleted[row]
-                elif row in base_rows or row in inserted:
+                elif row in base or row in inserted:
                     continue
                 else:
                     inserted[row] = None
@@ -224,14 +222,14 @@ class LiveDatabase:
         """
         with self._lock:
             validated = validate_rows(self._base, relation, rows)
-            base_rows = self._rows_of(relation)
+            base = self._base.relation(relation)
             inserted = self._inserted.setdefault(relation, {})
             deleted = self._deleted.setdefault(relation, {})
             applied: List[Row] = []
             for row in validated:
                 if row in inserted:
                     del inserted[row]
-                elif row in base_rows and row not in deleted:
+                elif row in base and row not in deleted:
                     deleted[row] = None
                 else:
                     continue
@@ -268,8 +266,8 @@ class LiveDatabase:
         trimmed past ``epoch`` (the caller must fall back to a full rebuild
         from :meth:`current`).  The delta is *net*: a tuple inserted and
         later deleted within the window cancels out.  ``current_database``
-        is only materialized when ``include_current`` is set (re-encoding a
-        mutated columnar relation is ``O(n)``, and the build runs *outside*
+        is only materialized when ``include_current`` is set (applying the
+        delta to a columnar relation is ``O(n)``, and the build runs *outside*
         the lock from work items snapshotted with the delta; callers that
         can work from the base plus the delta overlay skip it entirely).
         """

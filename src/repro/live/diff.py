@@ -84,22 +84,29 @@ def _semi_filter(relation: Relation, conditions) -> Relation:
 def _overlaid_rows(filtered: Relation, conditions, overlay_entry) -> Relation:
     """Apply a relation's own tuple delta on top of its *filtered* base rows.
 
-    ``filtered`` is small (the delta's join neighbourhood), so the row-level
-    set arithmetic is cheap; inserted rows are net-new versus the base (the
+    ``filtered`` is small (the delta's join neighbourhood), so applying the
+    delta to it is cheap; inserted rows are net-new versus the base (the
     delta buffer guarantees it), so appending cannot duplicate, and only
     inserts satisfying the filter conditions can join a delta tuple anyway.
     """
     inserted, deleted = overlay_entry
     if not inserted and not deleted:
         return filtered
-    doomed = set(deleted)
-    rows = [row for row in filtered if row not in doomed]
-    rows.extend(
+    return filtered.with_delta(deleted, [
         row
         for row in inserted
         if all(row[position] in allowed for position, allowed in conditions)
-    )
-    return filtered.with_rows(rows)
+    ])
+
+
+def _column_values(relation: Relation, position: int) -> Set:
+    """The distinct values of one column (from the codes on the columnar
+    backend: the filtered relation's rows are never decoded)."""
+    storage = relation.storage
+    if HAS_NUMPY and storage.backend_name == "columnar":
+        used = np.unique(storage.codes[position])
+        return set(storage.domains[position][used].tolist())
+    return {row[position] for row in relation}
 
 
 def _delta_first_reduce(
@@ -161,10 +168,9 @@ def _delta_first_reduce(
             shared_variables = {variable for _, variable in shared}
             for position, variable in enumerate(atom.variables):
                 if variable not in shared_variables and variable not in allowed:
-                    values = {row[position] for row in filtered}
-                    allowed[variable] = values
+                    allowed[variable] = _column_values(filtered, position)
     # Atoms disconnected from the delta atom keep their full relations, but
-    # still need their own tuple delta applied (row-level, no conditions).
+    # still need their own tuple delta applied (no conditions).
     for atom in remaining:
         entry = overlay.get(atom.relation)
         if entry and (entry[0] or entry[1]):

@@ -57,6 +57,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.core.direct_access import LexDirectAccess
 from repro.core.orders import LexOrder
 from repro.core.reduction import eliminate_projections
+from repro.engine.heap import release_heap
 from repro.live.delta import LiveDatabase
 from repro.live.diff import compute_answer_delta
 from repro.live.merged import MergedAccess
@@ -410,6 +411,10 @@ class LiveInstance:
                     self._publisher.retire(old_base_epoch)
             elif old_base_epoch != epoch:
                 self._publisher.retire(old_base_epoch)
+        # Drop this frame's reference to the retired epoch, then return the
+        # rebuild's transient heap (and the retired structure's) to the OS.
+        del old
+        release_heap()
         return snapshot
 
     def _publish_epoch(self, epoch: int, report=None) -> Tuple[float, int]:

@@ -43,6 +43,7 @@ from repro.core.selection_lex import selection_lex
 from repro.core.selection_sum import selection_sum
 from repro.core.sum_direct_access import SumDirectAccess
 from repro.engine.database import Database
+from repro.engine.heap import release_heap
 from repro.exceptions import OutOfBoundsError, ReproError
 from repro.live import CompactionPolicy, LiveDatabase, LiveInstance
 from repro.obs import (
@@ -165,6 +166,8 @@ class PreparedPlan:
             else:
                 self.engine = engine
             self._built_epoch = epoch
+        # The stale engine and the rebuild's transients are garbage now.
+        release_heap()
 
     @property
     def count(self) -> Optional[int]:
@@ -650,7 +653,9 @@ class QueryService:
         """
         cost = classify_build(spec.query_plan, spec.mode)
         with self.gate.admit(cost):
-            return self._build_plan(spec, live, generation)
+            plan = self._build_plan(spec, live, generation)
+        release_heap()  # the build's transient heap, back to the OS
+        return plan
 
     def plan(self, fingerprint: str) -> PreparedPlan:
         """The plan for a previously seen fingerprint (rebuilding if evicted).

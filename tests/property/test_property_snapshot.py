@@ -334,6 +334,59 @@ class TestProducerByteIdentity:
         assert_producers_identical(PATH3_QUERY, database, order, shards)
 
 
+def assert_writers_identical(query, database, order, shards, backend):
+    try:
+        access = LexDirectAccess(query, database, order, backend=backend, shards=shards)
+    except IntractableQueryError:
+        return
+    snapshot = capture(access._instance, fingerprint="prop", epoch=3)
+    if snapshot is None:
+        return
+    data = snapshot.to_bytes()
+    assert snapshot.nbytes == len(data)
+    block = snapshot.publish(name=f"repro-test-{os.getpid()}-{next(_SHM_COUNTER)}")
+    try:
+        assert bytes(block.buf[:len(data)]) == data
+    finally:
+        _destroy_block(block)
+    fd, path = tempfile.mkstemp(suffix=".rsnp")
+    os.close(fd)
+    try:
+        assert snapshot.save(path) == len(data)
+        with open(path, "rb") as handle:
+            assert handle.read() == data
+    finally:
+        os.unlink(path)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestWriterByteIdentity:
+    """``publish`` and ``save`` write the image in place; the shm block (up to
+    the image length) and the file hold exactly ``to_bytes()``, and
+    ``nbytes`` is its length without serializing."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        r_rows=relation_rows(2), s_rows=relation_rows(2), order=order_for(),
+        shards=st.sampled_from(SHARD_COUNTS),
+    )
+    def test_path_query(self, backend, r_rows, s_rows, order, shards):
+        database = Database([
+            Relation("R", ("x", "y"), r_rows),
+            Relation("S", ("y", "z"), s_rows),
+        ])
+        assert_writers_identical(PATH_QUERY, database, order, shards, backend)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        database=typed_database((("R", ("x", "y")), ("S", ("y", "z")))),
+        order=shuffled_order(("x", "y", "z")),
+        shards=st.integers(1, 3),
+    )
+    def test_typed_values(self, backend, database, order, shards):
+        assert_writers_identical(PATH_QUERY, database, order, shards, backend)
+
+
 class TestPoolEpochChurn:
     """Mutate→compact→query loops with pool workers attached never tear.
 

@@ -1,5 +1,7 @@
 """Unit tests for the pluggable storage backends and backend selection."""
 
+from decimal import Decimal
+
 import pytest
 
 from repro import Database, LexDirectAccess, LexOrder, Relation
@@ -128,6 +130,103 @@ class TestColumnarRelationOps:
         columnar = Relation("R", ("x",), [(1,), (2,)], backend="columnar")
         value = columnar.rows[0][0]
         assert type(value) is int  # no np.int64 leakage into answers
+
+
+@needs_columnar
+class TestColumnarMembership:
+    """``row in relation`` on a columnar relation probes codes: it never
+    decodes the rows, and it answers exactly like the row backend's set."""
+
+    ROWS = [(1, "a"), (2, "b"), (3.5, "c"), (2, "d")]
+    PROBES = [
+        (1, "a"), (True, "a"), (1.0, "a"), (2.0, "b"), (3.5, "c"), (2, "d"),
+        (2, "a"), (4, "a"), (0, "zz"), ("a", 1), (None, None), (False, "a"),
+        (1,), (1, "a", 1), [1, "a"],
+    ]
+
+    def test_matches_the_row_backend_without_materializing(self, monkeypatch):
+        from repro.engine.backends.columnar import ColumnarStorage
+
+        row = Relation("R", ("x", "y"), self.ROWS, backend="row")
+        columnar = Relation("R", ("x", "y"), self.ROWS, backend="columnar")
+        assert columnar.backend == "columnar"
+
+        def materialize(self):
+            raise AssertionError("membership decoded the rows")
+
+        monkeypatch.setattr(ColumnarStorage, "materialize", materialize)
+        for probe in self.PROBES:
+            assert (probe in columnar) == (probe in row), probe
+
+    def test_unhashable_row_raises_like_the_row_backend(self):
+        row = Relation("R", ("x", "y"), self.ROWS, backend="row")
+        columnar = Relation("R", ("x", "y"), self.ROWS, backend="columnar")
+        for relation in (row, columnar):
+            with pytest.raises(TypeError):
+                ([1], "a") in relation
+            with pytest.raises(TypeError):
+                (404, ["absent"]) in relation
+
+    def test_nullary_relation(self):
+        for backend in ("row", "columnar"):
+            assert () in Relation("T", (), [()], backend=backend)
+            assert () not in Relation("T", (), [], backend=backend)
+
+
+@needs_columnar
+class TestColumnarApplyDelta:
+    """``apply_delta`` equals re-encoding the row list, code for code, also
+    where it must take that path itself."""
+
+    @staticmethod
+    def assert_same_storage(got, want):
+        assert got.backend_name == want.backend_name
+        if want.backend_name == "columnar":
+            assert [c.dtype for c in got.codes] == [c.dtype for c in want.codes]
+            assert [c.tolist() for c in got.codes] == [c.tolist() for c in want.codes]
+            assert [d.tolist() for d in got.domains] == [d.tolist() for d in want.domains]
+        assert got.materialize() == want.materialize()
+
+    def check(self, rows, deleted, inserted):
+        relation = Relation("W", tuple(f"a{i}" for i in range(len(rows[0]))), rows,
+                            backend="columnar")
+        doomed = set(deleted)
+        want = relation.with_rows([row for row in rows if row not in doomed] + inserted)
+        self.assert_same_storage(relation.storage.apply_delta(deleted, inserted), want.storage)
+
+    def test_unpackable_key_space(self):
+        # Seven columns of 600 distinct values: 600**7 > 2**62 keys.
+        rows = [tuple(i + 1000 * column for column in range(7)) for i in range(600)]
+        new_row = tuple(-1 - column for column in range(7))
+        self.check(rows, deleted=[rows[3], rows[599]], inserted=[new_row])
+        self.check(rows, deleted=[], inserted=[new_row])
+        wide = Relation("W", tuple(f"a{i}" for i in range(7)), rows, backend="columnar")
+        assert rows[5] in wide and new_row not in wide
+        assert (1,) + rows[5][1:] not in wide  # every value present, the row is not
+
+    def test_deleting_every_row_and_values_leaving_the_domain(self):
+        rows = [(1, "a"), (2, "b"), (3, "a")]
+        self.check(rows, deleted=rows, inserted=[])
+        self.check(rows, deleted=[(2, "b")], inserted=[(5, "c")])
+
+    def test_rejected_insert_falls_back_to_row_storage(self):
+        rows = [(1, 0.5), (2, 1.5)]
+        self.check(rows, deleted=[], inserted=[(True, 2.5)])  # 1 vs True: row storage
+        self.check(rows, deleted=[], inserted=[(3, "x")])      # float vs str: unorderable
+        self.check(rows, deleted=[(2, 1.5)], inserted=[(True, 2.5)])
+        # Decimal vs NaN raises decimal.InvalidOperation, not TypeError.
+        self.check([(Decimal("1.0"), 0.5)], deleted=[], inserted=[(float("nan"), 2.5)])
+        self.check([(1, Decimal("1.0"))], deleted=[], inserted=[(2, Decimal("NaN"))])
+        mixed = Relation("R", ("x",), [(Decimal("1.0"),), (float("nan"),)], backend="columnar")
+        assert mixed.backend == "row"
+
+    def test_nullary_relation(self):
+        for rows, deleted, inserted in (([()], [()], []), ([], [], [()]), ([()], [], [])):
+            relation = Relation("T", (), rows, backend="columnar")
+            doomed = set(deleted)
+            want = relation.with_rows([row for row in rows if row not in doomed] + inserted)
+            got = relation.storage.apply_delta(deleted, inserted)
+            assert got.materialize() == want.storage.materialize()
 
 
 @needs_columnar

@@ -222,6 +222,55 @@ class TestServedReadsBuildNoBuckets:
         assert built == []
 
 
+@pytest.mark.skipif("columnar" not in available_backends(), reason="needs NumPy")
+class TestServedWritesDecodeNoRows:
+    """On a columnar base the write path stays on codes: an insert, a
+    delete, the first read after each and a compaction decode no relation's
+    rows (no ``ColumnarStorage.materialize`` call)."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("query", [QUERY_TEXT, "Q(x, y) :- R(x, y), S(y, z)"])
+    def test_no_write_path_op_materializes(self, monkeypatch, shards, query):
+        from repro.engine.backends.columnar import ColumnarStorage
+
+        service = QueryService(max_plans=8)
+        rows_r = [(x, y) for x in range(40) for y in (x % 4, (x + 1) % 4)]
+        rows_s = [(y, z) for y in range(4) for z in (y, y + 2)]
+        service.register_database("demo", Database(
+            [Relation("R", ("x", "y"), rows_r), Relation("S", ("y", "z"), rows_s)],
+            backend="columnar",
+        ))
+
+        def ok(request):
+            response = service.execute(request)
+            assert response["ok"], response
+            return response
+
+        decoded = []
+        materialize = ColumnarStorage.materialize
+
+        def counted(self):
+            decoded.append(len(self))
+            return materialize(self)
+
+        try:
+            plan = ok({"op": "prepare", "db": "demo", "query": query,
+                       "backend": "columnar", "shards": shards})["plan"]
+            ok({"op": "count", "plan": plan})
+            monkeypatch.setattr(ColumnarStorage, "materialize", counted)
+            ok({"op": "insert", "db": "demo", "relation": "R",
+                "rows": [[0, 3], [1000, 1], [7, 2]]})
+            ok({"op": "batch_access", "plan": plan, "ks": [0, 1, 2]})
+            ok({"op": "delete", "db": "demo", "relation": "R",
+                "rows": [[1, 1], [2, 2], [1000, 1]]})
+            ok({"op": "batch_access", "plan": plan, "ks": [0, 1, 2]})
+            assert ok({"op": "compact", "db": "demo"})["plans_compacted"] == 1
+            ok({"op": "batch_access", "plan": plan, "ks": [0, 1, 2]})
+        finally:
+            service.close()
+        assert decoded == []
+
+
 class TestMutationValidation:
     CASES = [
         ({"op": "insert", "db": "demo", "relation": "Nope", "rows": [[1, 2]]},

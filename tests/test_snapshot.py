@@ -210,6 +210,25 @@ class TestByteLayout:
         assert [served.access(k) for k in range(served.count)] == expected
         loaded.close()
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("values", ["int", "object"])
+    def test_nbytes_is_the_image_length_without_serializing(self, monkeypatch, shards, values):
+        database = small_database()
+        if values == "object":  # string domains: pickled value dictionaries
+            database = Database([
+                relation.with_rows([tuple(f"v{value}" for value in row) for row in relation])
+                for relation in database
+            ])
+        access = LexDirectAccess(QUERY, database, ORDER, shards=shards)
+        snapshot = capture(access._instance)
+        length = len(snapshot.to_bytes())
+
+        def serialized(self):
+            raise AssertionError("nbytes serialized the image")
+
+        monkeypatch.setattr(InstanceSnapshot, "to_bytes", serialized)
+        assert snapshot.nbytes == length
+
     def test_bad_magic_is_rejected(self, tmp_path):
         path = tmp_path / "bogus.rsnp"
         path.write_bytes(b"NOTASNAP" + b"\0" * 64)
