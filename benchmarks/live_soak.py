@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Compaction soak: a served replica's memory must stay flat across compactions.
 
-Generates a 2-path database (``R(x, y)`` and ``S(y, z)``, ``--rows`` random
+Generates a 2-path database (``R(x, y)`` and ``S(y, z)``, ``ROWS`` random
 pairs each), serves it with ``repro serve`` (columnar, 2 shards, 2 workers),
-prepares the LEX plan ``x, y, z`` and runs ``--compactions`` rounds of
+prepares the LEX plan ``x, y, z`` and runs ``COMPACTIONS`` rounds of
 (insert 8 new ``R`` rows, read, ``compact``).  After every compaction it
 prints the master process's PSS (``/proc/<pid>/smaps_rollup``, Linux only)
 and the plan's answer count.  It exits non-zero when the PSS grows by more
-than ``--max-growth-mb`` between compaction 3 and the last one, or when a
-compaction loses answers.
+than ``MAX_GROWTH_MIB`` between compaction ``BASELINE_COMPACTION`` and the
+last one, or when a compaction loses answers.
 
-    PYTHONPATH=src python benchmarks/live_soak.py [--rows 20000]
-        [--compactions 20] [--max-growth-mb 10]
+    PYTHONPATH=src python benchmarks/live_soak.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -30,6 +28,10 @@ PATH_QUERY = "Q(x, y, z) :- R(x, y), S(y, z)"
 #: The first compaction whose PSS is the soak's baseline (1-based): the
 #: first ones still grow the heap to its working size.
 BASELINE_COMPACTION = 3
+ROWS = 20_000
+COMPACTIONS = 20
+MAX_GROWTH_MIB = 10.0
+SEED = 701
 
 
 def generate(rows: int, seed: int, path: str) -> int:
@@ -79,18 +81,9 @@ def start_server(db_path: str, log_path: str):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rows", type=int, default=20_000)
-    parser.add_argument("--compactions", type=int, default=20)
-    parser.add_argument("--max-growth-mb", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=701)
-    args = parser.parse_args()
-    if args.compactions < BASELINE_COMPACTION + 1:
-        parser.error(f"--compactions must be at least {BASELINE_COMPACTION + 1}")
-
     with tempfile.TemporaryDirectory(prefix="repro-soak-") as work:
         db_path = os.path.join(work, "db.json")
-        domain = generate(args.rows, args.seed, db_path)
+        domain = generate(ROWS, SEED, db_path)
         process, log, port = start_server(db_path, os.path.join(work, "server.log"))
 
         def post(path, payload):
@@ -103,13 +96,13 @@ def main() -> int:
                 raise SystemExit(f"{path} failed: {document}")
             return document
 
-        rng = random.Random(args.seed + 1)
+        rng = random.Random(SEED + 1)
         pss = []
         try:
             plan = post("/v1/prepare", {"db": "soak", "query": PATH_QUERY,
                                         "order": "x, y, z"})["plan"]
             count = post("/v1/count", {"plan": plan})["count"]
-            for round_ in range(1, args.compactions + 1):
+            for round_ in range(1, COMPACTIONS + 1):
                 # New x values beyond the generated domain: every row is new
                 # and joins S through an existing y.
                 rows = [[domain + 8 * round_ + i, rng.randrange(domain)] for i in range(8)]
@@ -133,9 +126,9 @@ def main() -> int:
             log.close()
 
     growth = pss[-1] - pss[BASELINE_COMPACTION - 1]
-    print(f"master PSS growth, compaction {BASELINE_COMPACTION} -> {args.compactions}: "
-          f"{growth:+.1f} MiB (limit {args.max_growth_mb:g})")
-    return 1 if growth > args.max_growth_mb else 0
+    print(f"master PSS growth, compaction {BASELINE_COMPACTION} -> {COMPACTIONS}: "
+          f"{growth:+.1f} MiB (limit {MAX_GROWTH_MIB:g})")
+    return 1 if growth > MAX_GROWTH_MIB else 0
 
 
 if __name__ == "__main__":

@@ -28,9 +28,7 @@ def _malloc_trim():
 _MALLOC_TRIM = _malloc_trim()
 
 
-def release_heap() -> bool:
-    """Return free heap pages to the OS; ``False`` where that is unsupported."""
-    if _MALLOC_TRIM is None:
-        return False
-    _MALLOC_TRIM(0)
-    return True
+def release_heap() -> None:
+    """Return free heap pages to the OS (a no-op where that is unsupported)."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)

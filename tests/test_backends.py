@@ -228,6 +228,21 @@ class TestColumnarApplyDelta:
             got = relation.storage.apply_delta(deleted, inserted)
             assert got.materialize() == want.storage.materialize()
 
+    def test_derived_storage_reuses_the_domain_indexes(self):
+        # A filtered neighbour keeps the base's full domains: applying a
+        # delta to it must not rebuild a value -> code dict per refresh.
+        storage = Relation("W", ("a", "b"), [(1, "a"), (2, "b"), (3, "c")],
+                           backend="columnar").storage
+        index_b = storage.domain_index(1)
+        taken = storage.take([0, 2])
+        assert taken.domain_index(1) is index_b
+        assert taken.domain_index(0) is storage.domain_index(0)
+        assert storage.project([1]).domain_index(0) is index_b
+        self.assert_same_storage(
+            taken.apply_delta([(3, "c")], [(4, "b")]),
+            Relation("W", ("a", "b"), [(1, "a"), (4, "b")], backend="columnar").storage,
+        )
+
 
 @needs_columnar
 class TestColumnarOperators:
