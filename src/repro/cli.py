@@ -399,6 +399,14 @@ def _parse_db_specs(parser: argparse.ArgumentParser, specs: List[str], backend,
 
 
 def serve_main(argv: List[str]) -> int:
+    """``repro serve``: load the databases and serve them over HTTP.
+
+    With ``--workers N`` the pool is forked before any database is loaded,
+    so a worker, which serves only the images it attaches, does not inherit
+    the master's heap and copy it on write.  A worker respawned after a
+    crash forks from the loaded master and pays that copy; respawns are
+    rare, so that is accepted.  Every exit before serving closes the pool.
+    """
     parser = build_serve_parser()
     args = parser.parse_args(argv)
     import signal
@@ -426,39 +434,43 @@ def serve_main(argv: List[str]) -> int:
         max(0.0, args.slow_query_ms / 1000.0)
         if args.slow_query_ms is not None else None
     )
-    service = _parse_db_specs(parser, args.db, args.backend, args.max_plans,
-                              shards=args.shards,
-                              slow_query_seconds=slow_query_seconds)
-    try:
-        service.gate = AdmissionGate(
-            max_concurrent=args.build_slots,
-            max_queue=args.build_queue,
-            queue_timeout=args.build_queue_timeout,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
     pool = None
     if args.workers > 0:
         from repro.service.pool import WorkerPool
 
         pool = WorkerPool(workers=args.workers)
-        service.attach_pool(pool)
         if not pool.start():
             print("repro serve: worker pool unavailable on this platform "
                   "(needs NumPy + POSIX shared memory); serving single-process",
                   flush=True)
             pool = None
-    max_body = max(1, int(args.max_body_mb * 1024 * 1024))
     try:
-        server = make_server(service, args.host, args.port,
-                             max_body=max_body,
-                             reuse_port=args.reuse_port,
-                             header_timeout=args.header_timeout,
-                             max_connections=args.max_connections)
-    except OSError as exc:
+        service = _parse_db_specs(parser, args.db, args.backend, args.max_plans,
+                                  shards=args.shards,
+                                  slow_query_seconds=slow_query_seconds)
+        try:
+            service.gate = AdmissionGate(
+                max_concurrent=args.build_slots,
+                max_queue=args.build_queue,
+                queue_timeout=args.build_queue_timeout,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
+        if pool is not None:
+            service.attach_pool(pool)
+        max_body = max(1, int(args.max_body_mb * 1024 * 1024))
+        try:
+            server = make_server(service, args.host, args.port,
+                                 max_body=max_body,
+                                 reuse_port=args.reuse_port,
+                                 header_timeout=args.header_timeout,
+                                 max_connections=args.max_connections)
+        except OSError as exc:
+            parser.error(f"cannot bind {args.host}:{args.port}: {exc}")
+    except BaseException:  # parser.error's SystemExit included
         if pool is not None:
             pool.close()
-        parser.error(f"cannot bind {args.host}:{args.port}: {exc}")
+        raise
 
     # Graceful shutdown: SIGTERM/SIGINT stop the accept loop (from a helper
     # thread — shutdown() called on the serving thread would deadlock), then

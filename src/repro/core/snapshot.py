@@ -22,15 +22,22 @@ The image has three interchangeable carriers:
 
 * **memory** — plain NumPy arrays in-process (what the executor installs on
   every built instance; its facade reads through it);
-* **shm** — one ``multiprocessing.shared_memory`` block per image, named by
-  plan fingerprint + epoch (:func:`shm_name`); publishing computes the
-  layout once, creates the block at its final size and writes the header,
-  manifest, pickled dictionaries and arrays straight into it (no serialized
-  copy in between); attaching is an O(1) map plus a manifest parse, and
-  :class:`SnapshotPublisher` refcounts each epoch so a ``LiveInstance`` swap
-  publishes the new buffer set atomically and unlinks the retired one only
-  when released (already-attached readers keep serving from their mapping —
-  POSIX unlink removes the name, not the memory);
+* **shm** — one POSIX shared-memory block per image (:class:`ShmBlock`:
+  ``shm_open`` + ``mmap``, the calls ``multiprocessing.shared_memory`` makes
+  minus its resource-tracker registration, so no tracker process is ever
+  started), named by publisher pid + plan fingerprint + epoch
+  (:func:`shm_name`); publishing computes the layout once, creates the block
+  at its final size and writes the header, manifest, pickled dictionaries
+  and arrays straight into it (no serialized copy in between); attaching is
+  an O(1) map plus a manifest parse, and :class:`SnapshotPublisher`
+  refcounts each epoch so a ``LiveInstance`` swap publishes the new buffer
+  set atomically and unlinks the retired one only when released
+  (already-attached readers keep serving from their mapping — POSIX unlink
+  removes the name, not the memory).  The owner's pid in the name keeps two
+  publishers of one plan on one host apart, and replaces the tracker as the
+  crash cleanup: a publisher that dies without unlinking leaves blocks
+  whose pid is gone, and :func:`sweep_orphans` (run once when a worker pool
+  starts) unlinks exactly those;
 * **file** — the same byte layout mmap'd from disk (``repro snapshot
   save``/``load``; ``save`` writes through a mapping of the file, by the
   same writer as ``publish`` and ``to_bytes``): a restart re-maps instead of
@@ -85,9 +92,9 @@ from __future__ import annotations
 
 import json
 import mmap as _mmap
+import os
 import pickle
 import struct
-import sys
 import time
 from bisect import bisect_right
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -98,6 +105,11 @@ from repro.core.preprocessing import _INT64_SAFE, PreprocessedInstance
 from repro.engine.backends import HAS_NUMPY
 from repro.exceptions import NotAnAnswerError, OutOfBoundsError
 from repro.obs import ACCESS_KERNELS
+
+try:
+    import _posixshmem
+except ImportError:  # pragma: no cover - no POSIX shared memory here
+    _posixshmem = None
 
 if HAS_NUMPY:
     import numpy as np
@@ -756,7 +768,7 @@ class InstanceSnapshot:
         self._domains = domains
         self.carrier = carrier
         self.seconds = 0.0
-        #: Underlying buffers (mmap / SharedMemory) the arrays view into.
+        #: Underlying buffers (mmap / ShmBlock) the arrays view into.
         self._keepalive = keepalive
         self.shards: List[FlatShard] = self._build_shards()
         for image in self.shards:
@@ -987,69 +999,119 @@ class InstanceSnapshot:
         return cls.from_buffer(mapped, carrier="file", keepalive=(mapped,))
 
     # -- shared-memory carrier -------------------------------------------
-    def publish(self, name: Optional[str] = None):
+    def publish(self, name: Optional[str] = None) -> "ShmBlock":
         """Write the image into a new named shared-memory block of its final
         size (no intermediate copy); returns the block.
 
         The caller owns the block (and must eventually ``unlink`` it —
         :class:`SnapshotPublisher` does the refcounting for live serving).
         """
-        from multiprocessing import shared_memory
-
         if name is None:
             name = shm_name(self.fingerprint, self.epoch)
         layout = self._layout()
-        block = shared_memory.SharedMemory(name=name, create=True, size=layout.size)
+        block = ShmBlock(name, create=True, size=layout.size)
         try:
             self._write(block.buf, layout)
         except BaseException:
             block.close()
             block.unlink()
             raise
-        _OWNED_NAMES.add(block.name)
         return block
 
     @classmethod
     def attach(cls, name: str) -> "InstanceSnapshot":
         """Attach to a published shared-memory image by name (O(1) map)."""
-        block = _attach_shared_memory(name)
+        block = ShmBlock(name)
         return cls.from_buffer(block.buf, carrier="shm", keepalive=(block,))
 
 
-#: Shared-memory names created (and therefore owned) by this process — their
-#: resource-tracker registration must survive a same-process attach.
-_OWNED_NAMES: set = set()
+class ShmBlock:
+    """One POSIX shared-memory block (``/dev/shm/<name>``) mapped read-write.
 
-
-def _attach_shared_memory(name: str):
-    """Attach to an existing block without adopting cleanup responsibility.
-
-    Before Python 3.13 the stdlib registers *attached* blocks with the
-    resource tracker as if this process had created them, so a clean reader
-    exit would unlink the publisher's live block and warn about a "leak".
-    Unregistering right after attach restores attach-only semantics
-    (3.13+ has ``track=False`` for exactly this).  Blocks this process itself
-    published keep their registration — the publisher's ``unlink`` consumes
-    it.
+    The calls :class:`multiprocessing.shared_memory.SharedMemory` makes,
+    minus its resource-tracker registration: no tracker process is started,
+    and neither a publisher nor an attaching reader hands the name to one.
+    ``create=True`` makes a new block of ``size`` bytes and fails with
+    :class:`FileExistsError` if the name is taken.
     """
-    from multiprocessing import shared_memory
 
-    if sys.version_info >= (3, 13):
-        return shared_memory.SharedMemory(name=name, track=False)
-    block = shared_memory.SharedMemory(name=name)
-    if block.name not in _OWNED_NAMES:
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str, create: bool = False, size: int = 0) -> None:
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
         try:
-            from multiprocessing import resource_tracker
+            if create:
+                os.ftruncate(fd, size)
+            self._mmap = _mmap.mmap(fd, os.fstat(fd).st_size)
+        except BaseException:
+            if create:
+                _posixshmem.shm_unlink("/" + name)
+            raise
+        finally:
+            os.close(fd)  # the mapping keeps the memory
+        self.name = name
+        self.size = len(self._mmap)
+        self.buf: Optional[memoryview] = memoryview(self._mmap)
 
-            resource_tracker.unregister(block._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals shifted
-            pass
-    return block
+    def close(self) -> None:
+        """Unmap; :class:`BufferError` while views of ``buf`` are alive."""
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+        self._mmap.close()
+
+    def unlink(self) -> None:
+        """Remove the name; mappings (here and in readers) stay valid."""
+        _posixshmem.shm_unlink("/" + self.name)
+
+
+_SHM_DIR = "/dev/shm"
+_SHM_PREFIX = "repro-snap-"
 
 
 def shm_name(fingerprint: str, epoch: int) -> str:
-    """The shared-memory block name of one (plan fingerprint, epoch) image."""
-    return f"repro-snap-{fingerprint or 'anon'}-{int(epoch)}"
+    """The shared-memory block name of one (plan fingerprint, epoch) image,
+    tagged with the publishing process's pid (see :func:`sweep_orphans`)."""
+    return f"{_SHM_PREFIX}{os.getpid()}-{fingerprint or 'anon'}-{int(epoch)}"
+
+
+def _process_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
+
+
+def sweep_orphans() -> List[str]:
+    """Unlink the blocks of publishers that are gone; returns their names.
+
+    A block named by :func:`shm_name` carries its publisher's pid; a
+    publisher that crashed before unlinking leaves it behind.  Names whose
+    pid field does not parse (not written by :func:`shm_name`) are left
+    alone, and so is every block of a live pid.  The pid is read in this
+    process's pid namespace: processes sharing ``/dev/shm`` must share it.
+    """
+    try:
+        names = os.listdir(_SHM_DIR)
+    except OSError:  # no /dev/shm on this platform
+        return []
+    swept = []
+    for name in names:
+        if not name.startswith(_SHM_PREFIX):
+            continue
+        owner = name[len(_SHM_PREFIX):].partition("-")[0]
+        if not (owner.isascii() and owner.isdigit()) or _process_alive(int(owner)):
+            continue
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except OSError:  # another sweeper got there first, or not ours
+            continue
+        swept.append(name)
+    return swept
 
 
 class SnapshotPublisher:
@@ -1118,7 +1180,6 @@ class SnapshotPublisher:
 
 
 def _destroy_block(block) -> None:
-    _OWNED_NAMES.discard(block.name)
     try:
         block.unlink()
     except FileNotFoundError:  # pragma: no cover - already unlinked

@@ -47,6 +47,7 @@ The catalogue of series every layer feeds (labels in braces):
 ``repro_pool_dispatches_total{worker,outcome}``  pool routing (routed/miss/failed)
 ``repro_pool_workers``                    worker processes currently alive
 ``repro_worker_restarts_total{worker}``   worker respawns after crash/kill
+``repro_process_pss_bytes{process}``      PSS of the master and each ``worker-<i>``, read at scrape
 ``repro_loop_lag_seconds``                event-loop heartbeat lag (scheduling delay)
 ``repro_loop_open_connections``           sockets currently open on the event loop
 ``repro_loop_active_requests``            requests in flight (worker or executor)
@@ -239,6 +240,26 @@ WORKER_RESTARTS = METRICS.counter(
     "Worker-process respawns after a crash or kill.",
     ("worker",),
 )
+PROCESS_PSS = METRICS.gauge(
+    "repro_process_pss_bytes",
+    "Proportional set size of each serving process: master, worker-<i>.",
+    ("process",),
+)
+
+
+def pss_bytes(pid: int) -> int:
+    """The ``Pss:`` of ``/proc/<pid>/smaps_rollup`` in bytes; 0 if unreadable
+    (process gone, or a platform without that file)."""
+    try:
+        with open(f"/proc/{pid}/smaps_rollup", "rb") as handle:
+            for line in handle:
+                if line.startswith(b"Pss:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    return 0
+
+
 LOOP_LAG = METRICS.gauge(
     "repro_loop_lag_seconds",
     "Event-loop heartbeat lag: how late the loop woke vs its schedule.",

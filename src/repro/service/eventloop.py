@@ -790,7 +790,8 @@ class EventLoopHTTPServer:
             fingerprint = plan.fingerprint
             epoch = plan.engine.base_epoch
             if pool.export_current(fingerprint, epoch):
-                worker = pool.route(fingerprint, request, epoch)
+                worker = pool.route(fingerprint, request, epoch,
+                                    load=self._channel_load)
                 if worker is not None and self._send_to_worker(
                         worker, conn, request, now):
                     return
@@ -932,6 +933,11 @@ class EventLoopHTTPServer:
             return None
         self._channels[worker.index] = channel
         return channel
+
+    def _channel_load(self, index: int) -> int:
+        """Frames sent to worker ``index`` and not yet answered."""
+        channel = self._channels.get(index)
+        return len(channel.pending) if channel is not None else 0
 
     def _send_to_worker(self, worker, conn: _Connection, request: Mapping,
                         now: float) -> bool:

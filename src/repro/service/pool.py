@@ -3,7 +3,10 @@
 Architecture (master-dispatch over per-worker pipes):
 
 * The master process keeps the full :class:`~repro.service.QueryService` and
-  the HTTP listener.  ``start()`` forks N worker processes, each holding two
+  the HTTP listener.  ``start()`` first unlinks the snapshot blocks of dead
+  publishers (:func:`~repro.core.snapshot.sweep_orphans`), then forks N
+  worker processes (``repro serve`` starts the pool before it loads any
+  database, so the workers share none of its heap), each holding two
   channels to the master and *no* service state: a duplex **control pipe**
   (attach/detach/ping/metrics/stats/shutdown, always request→reply under the
   master's per-worker lock) and a **serve socket** (a ``socketpair`` carrying
@@ -47,7 +50,7 @@ import multiprocessing
 import socket
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import POOL_DISPATCHES, POOL_WORKERS, WORKER_RESTARTS
 
@@ -111,14 +114,6 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
         span_limit_from_env,
     )
     from repro.service.protocol import TRACE_KEY
-
-    # A forked worker inherits the master's owned-name set, but owns nothing:
-    # drop the stale ownership.  Names this worker attaches are re-added below
-    # *before* each attach — the fork-started worker shares the master's
-    # resource tracker (pool.start() ensures it runs pre-fork), so the worker
-    # must NOT unregister a name there: the master's publish registered it
-    # exactly once and the master's unlink consumes that registration.
-    snapshot_module._OWNED_NAMES.clear()
 
     # The fork-inherited global tracer carries the master's retained traces
     # and enablement; reset it so the worker's ring holds only its own spans
@@ -268,7 +263,6 @@ def _worker_main(worker_id: int, conn, serve_sock, obs_enabled: bool) -> None:
                 fingerprint, epoch, name = message[1], message[2], message[3]
                 try:
                     started = time.perf_counter()
-                    snapshot_module._OWNED_NAMES.add(name)
                     snapshot = snapshot_module.InstanceSnapshot.attach(name)
                     reader = _PageReader(snapshot_module.SnapshotInstance(snapshot))
                     seconds = time.perf_counter() - started
@@ -386,13 +380,10 @@ class _Export:
 
 def pool_supported() -> bool:
     """Whether this interpreter can run the pool (NumPy + POSIX shm)."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
+    from repro.core.snapshot import _posixshmem
+    from repro.engine.backends import HAS_NUMPY
 
-        from repro.engine.backends import HAS_NUMPY
-    except ImportError:  # pragma: no cover - exotic platforms
-        return False
-    return HAS_NUMPY
+    return HAS_NUMPY and _posixshmem is not None
 
 
 class WorkerPool:
@@ -444,15 +435,9 @@ class WorkerPool:
             return True
         if not pool_supported():
             return False
-        try:
-            # Start the resource tracker BEFORE forking so every worker
-            # shares the master's tracker (a late-started per-child tracker
-            # would unlink the master's live blocks when that child exits).
-            from multiprocessing import resource_tracker
+        from repro.core.snapshot import sweep_orphans
 
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker internals shifted
-            pass
+        sweep_orphans()  # blocks a crashed server left behind
         for worker in self._workers:
             self._spawn(worker)
         self._running = True
@@ -781,12 +766,17 @@ class WorkerPool:
                     and bool(export.ready))
 
     def route(self, fingerprint: str, request: Mapping,
-              expected_epoch: Optional[int] = None) -> Optional[_Worker]:
+              expected_epoch: Optional[int] = None,
+              load: Optional[Callable[[int], int]] = None) -> Optional[_Worker]:
         """The worker a routable request should go to — no I/O, or ``None``.
 
-        Deterministic fingerprint+shard affinity, exactly the pick
-        :meth:`dispatch` makes; split out so the event loop can decide
-        routability on the loop thread and do the frame I/O itself.
+        Deterministic fingerprint+shard affinity, the pick :meth:`dispatch`
+        makes; split out so the event loop can decide routability on the
+        loop thread and do the frame I/O itself.  Every ready worker holds
+        the same image, so with ``load`` (worker index → frames in flight to
+        it) the least loaded ready worker wins and the affinity only breaks
+        ties: a batch's leading rank is a skewed draw, and affinity alone
+        would queue most batches on one worker.
         """
         from repro.service.dispatch import pick_worker
 
@@ -804,6 +794,9 @@ class WorkerPool:
             if not candidates:
                 return None
             index = candidates[index % len(candidates)]
+        if load is not None and len(ready) > 1:
+            affinity = index
+            index = min(ready, key=lambda i: (load(i), i != affinity, i))
         worker = self._workers[index]
         if not worker.alive or worker.serve_sock is None:
             return None

@@ -32,6 +32,7 @@ cache keys and build coalescing are untouched by mutations.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -56,12 +57,14 @@ from repro.obs import (
     METRICS,
     PLANS_CACHED,
     POOL_WORKERS,
+    PROCESS_PSS,
     REQUEST_SECONDS,
     REQUESTS,
     SLOW_QUERIES,
     TRACER,
     SlowQueryLog,
     describe_rank_span,
+    pss_bytes,
 )
 from repro.ranking.ranked_enumeration import SumRankedEnumerator
 from repro.service.dispatch import (
@@ -1049,9 +1052,11 @@ class QueryService:
         Called before any metrics exposition (``metrics`` op, ``GET
         /metrics``) so scrapes always see fresh values: the live epoch and
         pending delta size per database, the epoch lag of every cached plan
-        (live epoch minus the epoch the plan currently serves), and the
-        number of resident plans.  Families are cleared first so gauges of
-        dropped databases/evicted plans do not linger.
+        (live epoch minus the epoch the plan currently serves), the
+        number of resident plans, and the PSS of this process and of each
+        live pool worker (read from ``smaps_rollup`` here, so the hot path
+        pays nothing).  Families are cleared first so gauges of dropped
+        databases/evicted plans/dead workers do not linger.
         """
         if not METRICS.enabled:
             return
@@ -1076,9 +1081,18 @@ class QueryService:
                 continue
             EPOCH_LAG.set(plan.live.epoch - epoch, (plan.fingerprint,))
         PLANS_CACHED.set(len(self._cache))
+        processes = [("master", os.getpid())]
         pool = self._pool
         if pool is not None:
-            POOL_WORKERS.set(len(pool.alive_workers()))
+            workers = pool.alive_workers()
+            POOL_WORKERS.set(len(workers))
+            processes += [(f"worker-{worker.index}", worker.process.pid)
+                          for worker in workers]
+        PROCESS_PSS.clear()
+        for process, pid in processes:
+            pss = pss_bytes(pid)
+            if pss:
+                PROCESS_PSS.set(pss, (process,))
 
     def _op_metrics(self, request: Mapping) -> Dict[str, object]:
         """The full metrics snapshot as JSON (``/v1/metrics``, ``repro metrics``)."""

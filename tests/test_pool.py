@@ -11,11 +11,14 @@ shutdown leave no shared-memory blocks behind.
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +205,29 @@ class TestObservability:
         assert stats["pool"]["dispatched"] >= 1
 
 
+    def test_route_prefers_an_idle_worker_over_a_busy_affinity(self, pooled, plan):
+        pool = pooled.pool
+        request = {"op": "batch_access", "plan": plan.fingerprint, "ks": [0, 1]}
+        affinity = pool.route(plan.fingerprint, request).index
+        busy = {affinity: 3}
+        picked = pool.route(plan.fingerprint, request,
+                            load=lambda index: busy.get(index, 0))
+        assert picked.index != affinity
+        # Equal load: the affinity breaks the tie.
+        assert pool.route(plan.fingerprint, request, load=lambda index: 1).index == affinity
+
+    def test_process_pss_gauge_has_one_row_per_live_process(self, pooled, plan):
+        from repro.obs import METRICS, PROCESS_PSS
+
+        if not METRICS.enabled:
+            pytest.skip("metrics disabled in this run")
+        pooled.update_gauges()
+        rows = {row["labels"]["process"]: row["value"]
+                for row in PROCESS_PSS.to_dict()["values"]}
+        assert set(rows) == {"master", "worker-0", "worker-1"}
+        assert all(value > 0 for value in rows.values())
+
+
 class TestUnencodableValues:
     def test_a_value_json_cannot_encode_answers_500_and_keeps_the_worker(self):
         """``Decimal`` enters through the Python API and survives capture and
@@ -267,6 +293,93 @@ class TestLifecycle:
         assert not pool.running
         with pytest.raises(FileNotFoundError):
             InstanceSnapshot.attach(shm_name(publisher_fp, 0))
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def _session_members(session: int):
+    """Live processes of one session (a started server's whole tree)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[3]) == session and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+class TestProcessTree:
+    def test_the_master_forks_only_the_workers(self):
+        """No resource-tracker interpreter: after a publish and an attach,
+        the master's children are exactly the pool's workers."""
+        script = (
+            "import json, os\n"
+            "from repro import Database, Relation\n"
+            "from repro.service import QueryService, WorkerPool\n"
+            "pool = WorkerPool(workers=2)\n"
+            "pool.start()\n"
+            "service = QueryService(max_plans=4)\n"
+            "service.register_database('demo', Database([\n"
+            "    Relation('R', ('x', 'y'), [(1, 5), (1, 2), (6, 2)]),\n"
+            "    Relation('S', ('y', 'z'), [(5, 3), (2, 5), (2, 9)])]))\n"
+            "service.attach_pool(pool)\n"
+            f"plan = service.prepare('demo', {QUERY_TEXT!r}, order='x, y, z')\n"
+            "routed = service.dispatch_raw("
+            "{'op': 'access', 'plan': plan.fingerprint, 'k': 0})\n"
+            "children = []\n"
+            "for task in os.listdir('/proc/self/task'):\n"
+            "    with open(f'/proc/self/task/{task}/children') as handle:\n"
+            "        children += [int(pid) for pid in handle.read().split()]\n"
+            "print(json.dumps({'routed': routed is not None,"
+            " 'children': sorted(children),"
+            " 'workers': sorted(w.process.pid for w in pool.alive_workers())}))\n"
+            "service.close()\n"
+        )
+        completed = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                                   capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        tree = json.loads(completed.stdout)
+        assert tree["routed"]
+        assert len(tree["workers"]) == 2 and tree["children"] == tree["workers"]
+
+    @pytest.mark.parametrize("bad", ["db", "build-slots"])
+    def test_a_start_up_error_leaves_no_worker_and_no_block(self, tmp_path, bad):
+        """The pool forks before the databases load, so every exit between
+        the fork and serving must take the workers down with it."""
+        good = tmp_path / "demo.json"
+        good.write_text(json.dumps({"relations": {
+            "R": {"attributes": ["x", "y"], "rows": [[1, 5]]},
+            "S": {"attributes": ["y", "z"], "rows": [[5, 3]]}}}))
+        command = [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                   "--workers", "2"]
+        if bad == "db":
+            command += ["--db", f"bad={tmp_path / 'nonexistent.json'}"]
+        else:
+            command += ["--db", f"demo={good}", "--build-slots", "0"]
+        server = subprocess.Popen(command, env=_src_env(), start_new_session=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True)
+        try:
+            _out, err = server.communicate(timeout=120)
+        finally:
+            server.kill()
+        assert server.returncode == 2, err
+        deadline = time.monotonic() + 5.0
+        while _session_members(server.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session_members(server.pid) == []
+        assert not [name for name in os.listdir("/dev/shm")
+                    if name.startswith(f"repro-snap-{server.pid}-")]
 
 
 class TestHTTPFrontend:

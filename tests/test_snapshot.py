@@ -10,6 +10,7 @@ round-trip.
 """
 
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from repro.core import access as object_access  # noqa: E402
 from repro.core.access import validate_ranks  # noqa: E402
 from repro.core.snapshot import (  # noqa: E402
     InstanceSnapshot,
+    ShmBlock,
     SnapshotInstance,
     SnapshotPublisher,
     _encode_values,
@@ -35,6 +37,7 @@ from repro.core.snapshot import (  # noqa: E402
     installed,
     serving_stats,
     shm_name,
+    sweep_orphans,
 )
 
 QUERY = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
@@ -293,6 +296,67 @@ class TestSharedMemory:
             assert "leaked shared_memory" not in completed.stderr
         finally:
             publisher.close()
+
+
+    def test_two_publishers_of_one_image_both_serve_and_a_crash_is_swept(self):
+        """Same plan, same epoch, two processes: the owner-tagged names do not
+        collide, both blocks attach, and once the other publisher dies
+        without unlinking, the start-up sweep removes its block only."""
+        access = LexDirectAccess(QUERY, small_database(), ORDER)
+        expected = object_walk(access)
+        publisher = SnapshotPublisher(fingerprint="twin-test")
+        twin = (
+            "import sys\n"
+            "from repro import Database, LexDirectAccess, LexOrder, Relation,"
+            " parse_query\n"
+            "from repro.core.snapshot import SnapshotPublisher\n"
+            "db = Database([\n"
+            "    Relation('R', ('x', 'y'), [(1, 5), (1, 2), (2, 2), (3, 5), (6, 2)]),\n"
+            "    Relation('S', ('y', 'z'), [(5, 3), (5, 4), (2, 5), (2, 9), (7, 1)]),\n"
+            "])\n"
+            "access = LexDirectAccess(parse_query('Q(x, y, z) :- R(x, y), S(y, z)'),"
+            " db, LexOrder(('x', 'y', 'z')))\n"
+            "print(SnapshotPublisher('twin-test').publish(access._instance, 0),"
+            " flush=True)\n"
+            "sys.stdin.readline()\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        child = subprocess.Popen(
+            [sys.executable, "-c", twin], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        try:
+            theirs = child.stdout.readline().strip()
+            ours = publisher.publish(access._instance, epoch=0)
+            assert theirs == f"repro-snap-{child.pid}-twin-test-0"
+            assert ours == shm_name("twin-test", 0) != theirs
+            for name in (ours, theirs):
+                reader = InstanceSnapshot.attach(name)
+                served = reader.instance()
+                assert [served.access(k) for k in range(served.count)] == expected
+                reader.close()
+            child.kill()  # dies holding its block: nobody unlinks it
+            child.wait()
+            assert theirs in sweep_orphans()
+            with pytest.raises(FileNotFoundError):
+                InstanceSnapshot.attach(theirs)
+            InstanceSnapshot.attach(ours).close()  # a live owner's block stays
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+            child.stdin.close()
+            publisher.close()
+
+    def test_sweep_leaves_names_without_an_owner_pid_alone(self):
+        foreign = ShmBlock(f"repro-snap-bench-sweep-{os.getpid()}", create=True, size=64)
+        try:
+            assert foreign.name not in sweep_orphans()
+            ShmBlock(foreign.name).close()
+        finally:
+            foreign.close()
+            foreign.unlink()
 
 
 # ----------------------------------------------------------------------
