@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro import Atom, ConjunctiveQuery, SumDirectAccess, Weights, classify_direct_access_sum
-from repro.benchharness import ScalingResult, format_table, growth_exponent
+from repro.benchharness import ScalingResult, format_table
 from repro.core import structure as st
 from repro.workloads import paper_queries as pq
 from repro.workloads.generators import generate_path_database

@@ -17,7 +17,6 @@ import pytest
 
 from repro import (
     LexDirectAccess,
-    LexOrder,
     MaterializedBaseline,
     classify_direct_access_lex,
     classify_direct_access_sum,

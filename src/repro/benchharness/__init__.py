@@ -1,110 +1,19 @@
-"""Shared harness for the scaling experiments behind the benchmarks.
+"""Shared harness for the scaling experiments behind the paper-theorem benchmarks.
 
 The paper's guarantees are asymptotic (⟨n log n, log n⟩ and friends); the
-benchmarks verify their *shape* by measuring preprocessing/access/selection
-times across a geometric range of database sizes and fitting simple growth
-models.  This subpackage provides the measurement loop and the growth-rate
-summaries used both by the pytest-benchmark modules and by ``EXPERIMENTS.md``.
+``bench_fig*`` / ``bench_thm*`` / ``bench_sec8*`` modules verify their *shape*
+by measuring preprocessing/access/selection times across a geometric range of
+database sizes and fitting simple growth models.  This subpackage provides the
+measurement loop, the growth-rate fit and the plain-text table they print.
+Serving performance is measured end to end by ``benchmarks/e2e/``.
 """
 
-from repro.benchharness.scaling import (
-    ScalingResult,
-    compare_backends,
-    growth_exponent,
-    measure_scaling,
-    write_backend_comparison,
-)
-from repro.benchharness.planner_build import (
-    MonolithLexAccess,
-    run_planner_build_bench,
-    star_database,
-    star_query,
-    write_planner_build,
-)
-from repro.benchharness.replay import (
-    ReplayResult,
-    replay_batched,
-    replay_http,
-    replay_single,
-    replay_threaded,
-    run_replay,
-    write_service_throughput,
-    zipf_ranks,
-)
-from repro.benchharness.connscale import (
-    ConnScaleResult,
-    ServeProcess,
-    run_fleet,
-    sample_process,
-    verify_http_identity,
-    write_async_serving,
-)
-from repro.benchharness.live import run_live_updates, write_live_updates
-from repro.benchharness.multiproc import (
-    MultiprocResult,
-    make_requests,
-    replay_pooled,
-    run_gate_workload,
-    verify_identity,
-    write_multiproc_serving,
-)
-from repro.benchharness.observability import (
-    run_observability_bench,
-    write_observability_bench,
-)
-from repro.benchharness.disttrace import (
-    run_disttrace_bench,
-    write_disttrace_bench,
-)
-from repro.benchharness.sharding import (
-    columnar_code_dtypes,
-    run_shard_scaling,
-    write_shard_scaling,
-)
-from repro.benchharness.snapshot import run_snapshot_bench, write_snapshot_bench
 from repro.benchharness.reporting import format_table
+from repro.benchharness.scaling import ScalingResult, growth_exponent, measure_scaling
 
 __all__ = [
-    "ConnScaleResult",
-    "MonolithLexAccess",
-    "MultiprocResult",
-    "ReplayResult",
     "ScalingResult",
-    "ServeProcess",
-    "columnar_code_dtypes",
-    "compare_backends",
     "format_table",
     "growth_exponent",
-    "make_requests",
     "measure_scaling",
-    "replay_batched",
-    "replay_http",
-    "replay_pooled",
-    "replay_single",
-    "replay_threaded",
-    "run_disttrace_bench",
-    "run_fleet",
-    "run_gate_workload",
-    "run_live_updates",
-    "run_observability_bench",
-    "run_planner_build_bench",
-    "run_replay",
-    "run_shard_scaling",
-    "run_snapshot_bench",
-    "sample_process",
-    "star_database",
-    "star_query",
-    "verify_http_identity",
-    "verify_identity",
-    "write_async_serving",
-    "write_backend_comparison",
-    "write_disttrace_bench",
-    "write_live_updates",
-    "write_multiproc_serving",
-    "write_observability_bench",
-    "write_planner_build",
-    "write_service_throughput",
-    "write_shard_scaling",
-    "write_snapshot_bench",
-    "zipf_ranks",
 ]

@@ -1,20 +1,11 @@
-"""Measuring how preprocessing / access / selection times scale with ``n``.
-
-Besides single-operation scaling fits, the module runs *side-by-side backend
-comparisons* (:func:`compare_backends`): the same operation over the same
-instances, once per storage backend, with the results serializable to JSON
-(:func:`write_backend_comparison`) so the performance trajectory stays
-machine-readable across PRs — ``BENCH_backend_comparison.json`` at the repo
-root is the canonical artifact.
-"""
+"""Measuring how preprocessing / access / selection times scale with ``n``."""
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 
 @dataclass
@@ -45,16 +36,6 @@ class ScalingResult:
     def summary(self) -> str:
         pairs = ", ".join(f"n={n}: {t * 1000:.2f}ms" for n, t in self.rows())
         return f"{self.label}: {pairs} (growth exponent ≈ {self.exponent():.2f})"
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (sizes, seconds, fitted growth exponent)."""
-        exponent = self.exponent()
-        return {
-            "label": self.label,
-            "sizes": list(self.sizes),
-            "seconds": list(self.seconds),
-            "growth_exponent": None if math.isnan(exponent) else round(exponent, 4),
-        }
 
 
 def growth_exponent(sizes: Sequence[int], seconds: Sequence[float]) -> float:
@@ -96,77 +77,3 @@ def measure_scaling(
             best = min(best, elapsed)
         result.add(size, best)
     return result
-
-
-def compare_backends(
-    label: str,
-    sizes: Sequence[int],
-    setup: Callable[[int, str], object],
-    operation: Callable[[object], object],
-    backends: Optional[Sequence[str]] = None,
-    repeats: int = 3,
-) -> Dict[str, ScalingResult]:
-    """Time the same operation per storage backend, on identical instances.
-
-    ``setup(n, backend)`` must build the prepared input (typically a database
-    of ``n`` tuples on that backend); ``operation`` is the timed region.  When
-    ``backends`` is ``None`` every available backend is measured (so the
-    comparison degrades gracefully to row-only without NumPy).
-    """
-    if backends is None:
-        from repro.engine.backends import available_backends
-
-        backends = available_backends()
-    results: Dict[str, ScalingResult] = {}
-    for backend in backends:
-        results[backend] = measure_scaling(
-            f"{label} [{backend}]",
-            sizes,
-            lambda n, b=backend: setup(n, b),
-            operation,
-            repeats=repeats,
-        )
-    return results
-
-
-def write_backend_comparison(
-    path: str,
-    comparisons: Mapping[str, Mapping[str, ScalingResult]],
-    metadata: Optional[Mapping[str, object]] = None,
-    baseline: str = "row",
-) -> Dict[str, object]:
-    """Serialize backend-comparison results to a JSON artifact.
-
-    ``comparisons`` maps an experiment name to its per-backend
-    :class:`ScalingResult`.  For every non-baseline backend a ``speedup``
-    series (baseline seconds / backend seconds, size-aligned) is included so
-    later PRs can regress against the numbers mechanically.  Returns the
-    document that was written.
-    """
-    document: Dict[str, object] = {
-        "artifact": "backend_comparison",
-        "metadata": dict(metadata or {}),
-        "experiments": {},
-    }
-    for experiment, by_backend in comparisons.items():
-        entry: Dict[str, object] = {
-            "backends": {name: result.to_dict() for name, result in by_backend.items()},
-        }
-        base = by_backend.get(baseline)
-        if base is not None:
-            baseline_by_size = {n: t for n, t in base.rows()}
-            speedups: Dict[str, Dict[str, float]] = {}
-            for name, result in by_backend.items():
-                if name == baseline:
-                    continue
-                speedups[name] = {
-                    str(n): round(baseline_by_size[n] / t, 3)
-                    for n, t in result.rows()
-                    if t > 0 and n in baseline_by_size
-                }
-            entry["speedup_vs_" + baseline] = speedups
-        document["experiments"][experiment] = entry
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document

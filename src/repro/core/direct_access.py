@@ -71,8 +71,8 @@ class LexDirectAccess:
         the shard offset table.  Results are identical to the monolithic
         build.  Ignored when a prebuilt ``plan`` is passed (the plan's own
         shard count wins).
-    workers / use_processes:
-        Worker-pool settings forwarded to the
+    workers:
+        Thread-pool size forwarded to the
         :class:`~repro.planner.executor.PlanExecutor`: independent layers of
         the layered join tree — or independent shards — build concurrently
         (identical results).
@@ -92,7 +92,6 @@ class LexDirectAccess:
         plan: Optional[QueryPlan] = None,
         shards: Optional[int] = None,
         workers: Optional[int] = None,
-        use_processes: bool = False,
     ) -> None:
         self._original_query = query
         self._original_order = order
@@ -104,9 +103,7 @@ class LexDirectAccess:
         self.plan = plan
         self.classification = plan.classification
 
-        built = PlanExecutor(
-            plan, database, workers=workers, use_processes=use_processes
-        ).build_lex()
+        built = PlanExecutor(plan, database, workers=workers).build_lex()
         self.report = built.report
         self.complete_order = built.complete_order
 

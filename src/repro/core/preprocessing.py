@@ -253,7 +253,7 @@ class PreprocessedInstance:
 
     def __getstate__(self):
         # The installed snapshot image may view shared-memory/mmap buffers;
-        # drop it so instances cross process-pool boundaries cleanly.
+        # it stays out of pickles.
         state = self.__dict__.copy()
         state.pop("_installed_snapshot", None)
         return state
@@ -500,7 +500,7 @@ def _build_layer(
 
 
 def _layer_build_task(payload):
-    """Worker-pool entry point for one layer build (must be picklable).
+    """Thread-pool entry point for one layer build.
 
     The elapsed time is measured *inside* the task so recorded stage stats
     reflect build work only, not time spent queued for a free worker.
@@ -521,7 +521,6 @@ def preprocess(
     tree: LayeredJoinTree,
     database: Database,
     workers: Optional[int] = None,
-    use_processes: bool = False,
     on_stage=None,
     assume_reduced: bool = False,
     prebuilt_layers: Optional[Dict[int, LayerData]] = None,
@@ -533,13 +532,9 @@ def preprocess(
     :func:`repro.core.reduction.eliminate_projections` produces).
 
     ``workers`` > 1 builds independent layers (sibling subtrees of the layered
-    join tree) concurrently on a thread pool — or a process pool when
-    ``use_processes`` is set.  A columnar layer build is now a few NumPy
-    calls, too little work to amortise pickling: a 2-shard columnar build of
-    10⁵ rows per relation on a 2-vCPU host takes ~1.8× the serial time on
-    two processes.  The result is bucket-for-bucket identical to the serial
-    build: every layer is
-    built by exactly one task from exactly the same inputs, only the schedule
+    join tree) concurrently on a thread pool.  The result is
+    bucket-for-bucket identical to the serial build: every layer is built by
+    exactly one task from exactly the same inputs, only the schedule
     changes.  ``on_stage`` (if given) receives one ``(name, seconds, rows)``
     call per pipeline stage — the hook the planner's execution report uses.
 
@@ -661,7 +656,7 @@ def preprocess(
     else:
         _build_layers_parallel(
             tree, children, layer_inputs, finish_layer,
-            workers=workers, use_processes=use_processes, record=_record_elapsed,
+            workers=workers, record=_record_elapsed,
             prebuilt=set(prebuilt_layers),
         )
 
@@ -740,7 +735,7 @@ def build_partial_layers(
 
 
 def _build_layers_parallel(tree, children, layer_inputs, finish_layer,
-                           workers: int, use_processes: bool, record,
+                           workers: int, record,
                            prebuilt=frozenset()) -> None:
     """Topologically scheduled concurrent layer builds (children before parents).
 
@@ -751,9 +746,8 @@ def _build_layers_parallel(tree, children, layer_inputs, finish_layer,
     ``prebuilt`` layers count as already finished: they are never submitted
     and do not block their parents.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-    pool_cls = ProcessPoolExecutor if use_processes else ThreadPoolExecutor
     pending_children: Dict[int, int] = {
         layer.index: sum(1 for c in children[layer.index] if c not in prebuilt)
         for layer in tree.layers
@@ -762,7 +756,7 @@ def _build_layers_parallel(tree, children, layer_inputs, finish_layer,
     by_index = {layer.index: layer for layer in tree.layers}
     rows_of: Dict[int, int] = {}
 
-    with pool_cls(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {}
 
         def submit(index: int) -> None:

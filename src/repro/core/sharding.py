@@ -141,7 +141,7 @@ class ShardedInstance:
 # Building
 # ----------------------------------------------------------------------
 def _shard_build_task(payload):
-    """Worker-pool entry point for one shard build (must be picklable).
+    """Thread-pool entry point for one shard build.
 
     Build time is measured inside the task so the recorded per-shard stage
     cost excludes worker-queue wait — and so the single-core acceptance
@@ -160,7 +160,6 @@ def build_sharded_instance(
     database: Database,
     shards: int,
     workers: Optional[int] = None,
-    use_processes: bool = False,
     on_stage=None,
 ) -> ShardedInstance:
     """Partition ``database`` on the leading order variable and build shards.
@@ -182,9 +181,9 @@ def build_sharded_instance(
     per-shard builds skip the semi-join pass outright: every reachable
     bucket matches the monolithic build's exactly.
 
-    ``workers > 1`` builds shards concurrently — each shard build itself
-    runs the serial schedule, so the pool parallelism is across shards, not
-    within them.  ``on_stage`` receives one
+    ``workers > 1`` builds shards concurrently on threads — each shard build
+    itself runs the serial schedule, so the pool parallelism is across
+    shards, not within them.  ``on_stage`` receives one
     ``("partition"|"shared_layer:<i>"|"shard:<i>", seconds, rows)`` call per
     stage.
     """
@@ -220,10 +219,9 @@ def build_sharded_instance(
             built[index] = instance
             _record(f"shard:{index}", seconds, partition.shard_databases[index].size())
     else:
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        pool_cls = ProcessPoolExecutor if use_processes else ThreadPoolExecutor
-        with pool_cls(max_workers=min(workers, len(payloads))) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             for index, instance, seconds in pool.map(_shard_build_task, payloads):
                 built[index] = instance
                 _record(

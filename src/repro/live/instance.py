@@ -48,6 +48,7 @@ the per-candidate corrections can blow up.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -61,8 +62,10 @@ from repro.engine.heap import release_heap
 from repro.live.delta import LiveDatabase
 from repro.live.diff import compute_answer_delta
 from repro.live.merged import MergedAccess
-from repro.obs import COMPACTION_SECONDS, DELTA_REFRESHES
+from repro.obs import COMPACTION_SECONDS, DELTA_REFRESHES, SNAPSHOT_PUBLISH_FAILURES
 from repro.planner.executor import record_stage
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,6 @@ class LiveInstance:
         plan=None,
         policy: Optional[CompactionPolicy] = None,
         workers: Optional[int] = None,
-        use_processes: bool = False,
         enforce_tractability: bool = True,
         publish_snapshots: bool = False,
     ) -> None:
@@ -131,7 +133,6 @@ class LiveInstance:
         self.live = live
         self.policy = policy or CompactionPolicy()
         self.workers = workers
-        self.use_processes = use_processes
         if plan is None:
             plan = build_plan(
                 query, order, mode="lex", fds=fds, backend=backend, shards=shards,
@@ -162,10 +163,7 @@ class LiveInstance:
         )
 
         epoch, database = live.state()
-        base = LexDirectAccess(
-            query, database, order, plan=plan,
-            workers=workers, use_processes=use_processes,
-        )
+        base = LexDirectAccess(query, database, order, plan=plan, workers=workers)
         self.complete_order = base.complete_order
         self._key = (
             base.complete_order.sort_key(query.free_variables)
@@ -181,6 +179,7 @@ class LiveInstance:
         # retiring the old one, and retirement unlinks only when no reader
         # holds the epoch.
         self._publisher = None
+        self._publish_failed_epoch: Optional[int] = None
         # Optional epoch-swap hook: called as listener(self, new_epoch,
         # old_epoch) after a compaction publishes the new epoch's buffers,
         # INSTEAD of retiring the old epoch here.  The listener owns the
@@ -386,7 +385,7 @@ class LiveInstance:
         if base is None:
             base = LexDirectAccess(
                 self.query, database, self.order, plan=self.plan,
-                workers=self.workers, use_processes=self.use_processes,
+                workers=self.workers,
             )
         old_base_epoch = old.base_epoch
         snapshot = _Snapshot(epoch, epoch, base, database, base)
@@ -430,8 +429,17 @@ class LiveInstance:
         started = time.perf_counter()
         try:
             name = self._publisher.publish(instance, epoch)
-        except (FileExistsError, OSError):  # name collision / shm exhausted
+        except OSError as error:  # name collision / shm exhausted
+            # Inline answers stay correct, so readiness does not flip; the
+            # counter and one log line per epoch say why workers sit idle.
             name = None
+            SNAPSHOT_PUBLISH_FAILURES.inc()
+            if self._publish_failed_epoch != epoch:
+                self._publish_failed_epoch = epoch
+                _LOG.warning(
+                    "snapshot publish failed for plan %s epoch %d (%s); "
+                    "serving inline", self.plan.fingerprint, epoch, error,
+                )
         seconds = time.perf_counter() - started
         if name is None:
             return seconds, 0

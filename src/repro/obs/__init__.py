@@ -36,6 +36,7 @@ The catalogue of series every layer feeds (labels in braces):
 ``repro_mutation_rows_total{op}``         rows those batches applied
 ``repro_delta_refreshes_total``           merged-view refreshes (delta fast path)
 ``repro_compaction_seconds{mode}``        compaction duration histogram (full/partial/noop)
+``repro_snapshot_publish_failures_total`` snapshot images that failed to publish (plan serves inline)
 ``repro_slow_queries_total{op}``          requests over the slow-query threshold
 ``repro_live_epoch{db}``                  current epoch per registered database
 ``repro_delta_tuples{db}``                pending delta tuples per database
@@ -194,6 +195,11 @@ COMPACTION_SECONDS = METRICS.histogram(
     "repro_compaction_seconds",
     "Live-instance compaction duration by mode (full, partial, noop).",
     ("mode",),
+)
+SNAPSHOT_PUBLISH_FAILURES = METRICS.counter(
+    "repro_snapshot_publish_failures_total",
+    "Snapshot images that failed to publish to shared memory; the plan "
+    "serves inline.",
 )
 SLOW_QUERIES = METRICS.counter(
     "repro_slow_queries_total", "Requests slower than the slow-query threshold.",

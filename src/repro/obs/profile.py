@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-import time
 import tracemalloc
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.orders import LexOrder, Weights
-from repro.core.preprocessing import PreprocessedInstance, preprocess
+from repro.core.preprocessing import preprocess
 from repro.core.reduction import eliminate_projections, reduce_database_over_query
 from repro.engine.backends.columnar import ColumnarStorage
 from repro.engine.database import Database
@@ -282,13 +282,8 @@ class PlanExecutor:
         The input database for the plan's original query.
     workers:
         Build independent plan stages (sibling layers of the layered join
-        tree) concurrently on this many workers; ``None``/``1`` builds
+        tree) concurrently on this many threads; ``None``/``1`` builds
         serially.  Results are identical either way.
-    use_processes:
-        Use a process pool instead of threads (opt-in).  Pickling layers
-        across processes costs more than a columnar layer build saves: a
-        2-shard columnar build of 10⁵ rows per relation takes ~1.8× the
-        serial time on two processes (2-vCPU host).
     """
 
     def __init__(
@@ -296,7 +291,6 @@ class PlanExecutor:
         plan: QueryPlan,
         database: Database,
         workers: Optional[int] = None,
-        use_processes: bool = False,
     ) -> None:
         if plan.error is not None:
             raise QueryStructureError(
@@ -305,7 +299,6 @@ class PlanExecutor:
         self.plan = plan
         self.database = database
         self.workers = workers
-        self.use_processes = use_processes
 
     # ------------------------------------------------------------------
     # Shared front half: backend → FD rewrite → normalisation
@@ -314,7 +307,7 @@ class PlanExecutor:
         schedule = "serial"
         workers = 1
         if self.workers is not None and self.workers > 1:
-            schedule = "processes" if self.use_processes else "threads"
+            schedule = "threads"
             workers = self.workers
         return ExecutionReport(schedule=schedule, workers=workers)
 
@@ -390,7 +383,6 @@ class PlanExecutor:
                     reduction.database,
                     self.plan.shards,
                     workers=self.workers,
-                    use_processes=self.use_processes,
                     on_stage=on_stage,
                 )
             else:
@@ -398,7 +390,6 @@ class PlanExecutor:
                     objects.tree,
                     reduction.database,
                     workers=self.workers,
-                    use_processes=self.use_processes,
                     on_stage=on_stage,
                     assume_reduced=True,
                 )

@@ -113,7 +113,7 @@ class StageStats:
 class ExecutionReport:
     """Per-stage statistics of one :class:`PlanExecutor` run."""
 
-    schedule: str = "serial"           # "serial" | "threads" | "processes"
+    schedule: str = "serial"           # "serial" | "threads"
     workers: int = 1
     total_seconds: float = 0.0
     stages: List[StageStats] = field(default_factory=list)

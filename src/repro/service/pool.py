@@ -50,7 +50,7 @@ import multiprocessing
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import POOL_DISPATCHES, POOL_WORKERS, WORKER_RESTARTS
 

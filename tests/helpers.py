@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import ConjunctiveQuery, Database, LexOrder, Relation, Weights
 from repro.core import access as access_module
+from repro.core.classification import classify_direct_access_lex
+from repro.core.layered_tree import build_layered_join_tree
+from repro.core.partial_order import require_complete_order
+from repro.core.preprocessing import preprocess
+from repro.core.reduction import eliminate_projections
 from repro.engine.naive import evaluate_naive
+from repro.exceptions import IntractableQueryError
 from repro.obs import ACCESS_KERNELS, obs_enabled
 
 
@@ -75,3 +81,63 @@ def object_walk_answers(access) -> List[Tuple]:
     moved = ACCESS_KERNELS.value(("access", "object")) - before
     assert not obs_enabled() or moved >= access.count, "object walk did not run"
     return answers
+
+
+class MonolithLexAccess:
+    """LEX direct access wired inline, without the planner layer.
+
+    Every step runs the way :class:`~repro.LexDirectAccess` did before the
+    planner existed, including the dedup and reduce passes the staged
+    executor elides: classify, rewrite for FDs, normalise, eliminate
+    projections, then preprocess with the full semi-join reduction.  The
+    planner-equivalence properties compare the routed facade against it.
+    """
+
+    def __init__(self, query, database, order, fds=None, backend=None,
+                 enforce_tractability: bool = True) -> None:
+        if backend is not None:
+            database = database.to_backend(backend)
+        self._original_query = query
+        self.classification = classify_direct_access_lex(query, order, fds=fds)
+        if enforce_tractability and self.classification.verdict == "intractable":
+            raise IntractableQueryError(
+                f"direct access by {order} for {query.name} is intractable: "
+                f"{self.classification.reason}",
+                self.classification,
+            )
+        if fds:
+            from repro.fds.rewrite import rewrite_for_fds
+
+            query, database, order = rewrite_for_fds(query, database, order, fds)
+        query, database = query.normalize(database)
+
+        if query.is_boolean:
+            self._boolean_answers: Optional[List[Tuple]] = evaluate_naive(query, database)
+            self._instance = None
+            return
+        self._boolean_answers = None
+
+        reduction = eliminate_projections(query, database)
+        complete_order = require_complete_order(reduction.query, order)
+        tree = build_layered_join_tree(reduction.query, complete_order)
+        self._instance = preprocess(tree, reduction.database)
+
+    @property
+    def count(self) -> int:
+        if self._instance is None:
+            return len(self._boolean_answers or [])
+        return self._instance.count
+
+    def access(self, k: int) -> Tuple:
+        if self._instance is None:
+            return (self._boolean_answers or [])[k]
+        raw = access_module.access(self._instance, k)
+        effective_free = self._instance.query.free_variables
+        original_free = self._original_query.free_variables
+        if effective_free == original_free:
+            return raw
+        mapping = dict(zip(effective_free, raw))
+        return tuple(mapping[v] for v in original_free)
+
+    def batch_access(self, ks: Sequence[int]) -> List[Tuple]:
+        return [self.access(k) for k in ks]

@@ -3,8 +3,8 @@
 The planner refactor must be observationally invisible: for randomized
 queries, orders, FDs and databases, the planner-routed
 :class:`~repro.core.direct_access.LexDirectAccess` returns byte-identical
-answers to :class:`~repro.benchharness.MonolithLexAccess` (the pre-refactor
-wiring preserved verbatim in the bench harness) on both storage backends, the
+answers to :class:`tests.helpers.MonolithLexAccess` (the pre-refactor
+wiring, kept as a test oracle) on both storage backends, the
 serial and worker-pool executor schedules agree with each other, and the SUM
 facade keeps the pre-refactor sort contract (weight, then repr tie-break).
 Plan fingerprints are checked for stability (same logical plan ⇒ same id,
@@ -31,9 +31,9 @@ from repro import (
     selection_lex,
     selection_sum,
 )
-from repro.benchharness import MonolithLexAccess
 from repro.engine.backends import available_backends
 from repro.engine.naive import evaluate_naive
+from tests.helpers import MonolithLexAccess
 
 BACKENDS = [None] + (["columnar"] if "columnar" in available_backends() else [])
 

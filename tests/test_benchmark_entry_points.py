@@ -1,0 +1,35 @@
+"""The benchmark ladder's entry points into ``repro`` keep loading.
+
+``benchmarks/e2e`` reaches the library only through the table in its
+``rungs.py``.  A rung whose entry point was deleted or renamed prints its
+metric with a null value, and a benchmark line with a null value is refused.
+So every key of that table must load, and the calls the ladder makes with
+them must keep their shape.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+RUNGS = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e" / "rungs.py"
+
+
+def _import_rungs():
+    spec = importlib.util.spec_from_file_location("e2e_rungs", RUNGS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+rungs = _import_rungs()
+
+
+@pytest.mark.parametrize("key", sorted(rungs.ENTRY_POINTS))
+def test_every_entry_point_loads(key):
+    assert rungs.load(key) is not None
+
+
+def test_plan_executor_builds_from_a_plan_and_a_database():
+    inspect.signature(rungs.load("PlanExecutor")).bind("plan", "database")

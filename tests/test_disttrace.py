@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro import Database, Relation
-from repro.obs import METRICS, TRACER, obs_enabled, set_enabled
+from repro.obs import METRICS, obs_enabled, set_enabled
 from repro.service import HTTPSession, QueryService, WorkerPool, make_server
 from repro.service.dispatch import LOOP_LANE_MAX_ANSWERS
 from repro.service.pool import pool_supported

@@ -1,7 +1,6 @@
 """Unit tests for the planner layer: plan IR, explain, executor, service/CLI."""
 
 import json
-import pickle
 
 import pytest
 
@@ -23,7 +22,8 @@ from repro.core.snapshot import installed
 from repro.engine.backends import available_backends
 from repro.exceptions import QueryStructureError
 from repro.planner import PLAN_MODES, PlanExecutor
-from repro.workloads.generators import generate_path_database
+from repro.workloads.generators import generate_star_database
+from tests.helpers import MonolithLexAccess
 
 PATH = ConjunctiveQuery(("x", "y", "z"), [Atom("R", ("x", "y")), Atom("S", ("y", "z"))])
 SINGLE = ConjunctiveQuery(("x", "y"), [Atom("R", ("x", "y"))])
@@ -171,42 +171,39 @@ class TestExecutor:
         assert built.boolean_answers == [()]
 
 
-def columnar_layers(instance):
-    parts = instance.shards if getattr(instance, "is_sharded", False) else [instance]
-    return [layer for part in parts for layer in part.layers.values()
-            if layer.columnar is not None]
+class TestParallelStarBuild:
+    """A star query's sibling layers are independent, so the thread schedule
+    really builds them concurrently; it must equal the serial build and the
+    planner-free wiring, through the object walk and through the image."""
 
+    STAR = ConjunctiveQuery(
+        ("c", "x1", "x2", "x3", "x4"),
+        [Atom(f"R{i}", ("c", f"x{i}")) for i in range(1, 5)],
+        name="Qstar",
+    )
 
-@pytest.mark.skipif("columnar" not in available_backends(), reason="needs NumPy")
-class TestProcessPoolBuild:
-    """``use_processes=True`` columnar builds ship layers across a process
-    pool both ways; they must equal the serial build, and their layers'
-    buckets must cross as undecoded views."""
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_thread_schedule_equals_serial_and_monolith(self, backend):
+        import random
 
-    @pytest.fixture(scope="class")
-    def database(self):
-        return generate_path_database(300, 25, seed=0, backend="columnar")
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("order", [
-        LexOrder(("x", "y", "z")), LexOrder(("z", "y", "x"), ("z",)),
-    ], ids=["x,y,z", "z desc,y,x"])
-    def test_process_pool_build_equals_serial(self, database, order, shards):
-        p = plan(PATH, order, backend="columnar", shards=shards)
+        order = LexOrder(self.STAR.free_variables)
+        database = generate_star_database(60, 12, branches=4, seed=13,
+                                          backend=backend)
+        p = plan(self.STAR, order, backend=backend)
         serial = PlanExecutor(p, database).build_lex()
-        procs = PlanExecutor(p, database, workers=2, use_processes=True).build_lex()
-        assert procs.report.schedule == "processes"
-        ranks = list(range(serial.instance.count))
-        expected = batch_access(serial.instance, ranks)
-        assert installed(procs.instance).instance().page(ranks).tuples() == expected
-
-        layers = columnar_layers(procs.instance)
-        assert layers and all(layer._buckets is None for layer in layers)
-        assert batch_access(procs.instance, ranks) == expected
-        assert all(layer._buckets is not None for layer in layers)
-        shipped = pickle.loads(pickle.dumps(procs.instance))
-        assert all(layer._buckets is None for layer in columnar_layers(shipped))
-        assert batch_access(shipped, ranks) == expected
+        threads = PlanExecutor(p, database, workers=2).build_lex()
+        assert threads.report.schedule == "threads"
+        monolith = MonolithLexAccess(self.STAR, database, order, backend=backend)
+        count = monolith.count
+        assert serial.instance.count == threads.instance.count == count > 1
+        rng = random.Random(13)
+        ranks = sorted({0, count - 1, *(rng.randrange(count) for _ in range(200))})
+        expected = monolith.batch_access(ranks)
+        for build in (serial, threads):
+            assert batch_access(build.instance, ranks) == expected
+            image = installed(build.instance)
+            if image is not None:
+                assert image.instance().page(ranks).tuples() == expected
 
 
 class TestServiceExplain:

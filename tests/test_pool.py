@@ -8,8 +8,10 @@ the old buffers retire, dead workers respawn and re-attach, eviction and
 shutdown leave no shared-memory blocks behind.
 """
 
+import errno
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -23,6 +25,9 @@ from pathlib import Path
 import pytest
 
 from repro import Database, Relation
+from repro.core.snapshot import SnapshotPublisher
+from repro.engine.backends import available_backends
+from repro.obs import METRICS, SNAPSHOT_PUBLISH_FAILURES
 from repro.service import (
     AdmissionGate,
     QueryService,
@@ -32,6 +37,7 @@ from repro.service import (
 )
 from repro.service.dispatch import LOOP_LANE_MAX_ANSWERS, ROUTABLE_OPS
 from repro.service.protocol import error_response
+from repro.workloads.generators import generate_path_database
 
 if not pool_supported():
     pytest.skip("worker pool needs NumPy + shared memory", allow_module_level=True)
@@ -110,6 +116,101 @@ class TestRoutedIdentity:
         assert pooled.dispatch_raw({"op": "stats"}) is None
         assert pooled.dispatch_raw({"op": "prepare", "db": "demo"}) is None
         assert pooled.dispatch_raw({"op": "access", "plan": "nope", "k": 0}) is None
+
+
+class TestRoutedIdentityAtScale:
+    """A pooled service answers a mixed read stream exactly as a plain one,
+    on every backend, monolithic and sharded, scalar and batched."""
+
+    @staticmethod
+    def read_mix(fingerprint, count, ranks, batch_size):
+        if batch_size:
+            return [{"op": "batch_access", "plan": fingerprint,
+                     "ks": ranks[i:i + batch_size]}
+                    for i in range(0, len(ranks), batch_size)]
+        requests = []
+        for i, k in enumerate(ranks):
+            if i % 64 == 63:
+                lo = max(0, k - 4)
+                requests.append({"op": "range", "plan": fingerprint, "lo": lo,
+                                 "hi": min(count - 1, lo + 8)})
+            elif i % 32 == 31:
+                requests.append({"op": "count", "plan": fingerprint})
+            else:
+                requests.append({"op": "access", "plan": fingerprint, "k": k})
+        return requests
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_pooled_matches_plain_on_every_backend(self, shards):
+        database = generate_path_database(1500, 38, seed=0)
+        for backend in available_backends():
+            plain = QueryService(max_plans=4, backend=backend)
+            pooled = QueryService(max_plans=4, backend=backend)
+            for service in (plain, pooled):
+                service.register_database("bench", database)
+            pool = WorkerPool(workers=2)
+            pooled.attach_pool(pool)
+            pool.start()
+            try:
+                shard_count = shards if shards > 1 else None
+                reference = plain.prepare("bench", QUERY_TEXT, order="x, y, z",
+                                          shards=shard_count)
+                plan = pooled.prepare("bench", QUERY_TEXT, order="x, y, z",
+                                      shards=shard_count)
+                assert plan.fingerprint == reference.fingerprint
+                rng = random.Random(shards)
+                ranks = [rng.randrange(plan.count) for _ in range(256)]
+                for batch_size in (0, 64):
+                    routed = 0
+                    for request in self.read_mix(plan.fingerprint, plan.count,
+                                                 ranks, batch_size):
+                        expected = canonical(plain.execute(dict(request)))
+                        raw = pooled.dispatch_raw(request)
+                        routed += raw is not None
+                        actual = canonical(raw[1] if raw is not None
+                                           else pooled.execute(dict(request)))
+                        assert actual == expected, (backend, shards, request)
+                    assert routed > 0, (backend, shards, batch_size)
+            finally:
+                pooled.close()
+                plain.close()
+
+
+class TestPublishFailure:
+    def test_enospc_serves_inline_counts_once_and_stays_ready(self, monkeypatch,
+                                                              caplog):
+        if not METRICS.enabled:
+            pytest.skip("metrics disabled in this run")
+
+        def full(self, source, epoch):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(SnapshotPublisher, "publish", full)
+        before = SNAPSHOT_PUBLISH_FAILURES.value(())
+        plain = QueryService(max_plans=4)
+        pooled = QueryService(max_plans=4)
+        for service in (plain, pooled):
+            service.register_database("demo", demo_database())
+        pool = WorkerPool(workers=2)
+        pooled.attach_pool(pool)
+        pool.start()
+        try:
+            plain.prepare("demo", QUERY_TEXT, order="x, y, z")
+            plan = pooled.prepare("demo", QUERY_TEXT, order="x, y, z")
+            assert SNAPSHOT_PUBLISH_FAILURES.value(()) - before == 1
+            logged = [record for record in caplog.records
+                      if "snapshot publish failed" in record.getMessage()]
+            assert len(logged) == 1 and plan.engine.plan.fingerprint in (
+                logged[0].getMessage())
+            for request in TestRoutedIdentity().read_requests(plan.fingerprint,
+                                                               plan.count):
+                assert pooled.dispatch_raw(request) is None
+                assert (canonical(pooled.execute(dict(request)))
+                        == canonical(plain.execute(dict(request))))
+            assert pooled.readiness()["ready"]
+        finally:
+            pooled.close()
+            plain.close()
 
 
 class TestEpochSwap:
@@ -217,7 +318,7 @@ class TestObservability:
         assert pool.route(plan.fingerprint, request, load=lambda index: 1).index == affinity
 
     def test_process_pss_gauge_has_one_row_per_live_process(self, pooled, plan):
-        from repro.obs import METRICS, PROCESS_PSS
+        from repro.obs import PROCESS_PSS
 
         if not METRICS.enabled:
             pytest.skip("metrics disabled in this run")
