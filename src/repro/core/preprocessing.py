@@ -182,7 +182,7 @@ class LayerData:
     given only its ``columnar`` index and builds no :class:`Bucket` until
     something reads ``buckets`` — the object walk, a row-built parent, or
     capture's bucket walk; the first read decodes them from the index arrays
-    and caches them.  A pickled layer ships the undecoded view.
+    and caches them.
     """
 
     def __init__(
@@ -228,12 +228,6 @@ class LayerData:
     def bucket(self, key: Tuple) -> Optional[Bucket]:
         return self.buckets.get(key)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        if self._source is not None:
-            state["_buckets"] = None
-        return state
-
 
 class PreprocessedInstance:
     """The direct-access data structure for one (query, order, database) triple."""
@@ -250,13 +244,6 @@ class PreprocessedInstance:
         self.tree = tree
         self.layers = layers
         self._count = _root_total(layers[1]) if 1 in layers else 0
-
-    def __getstate__(self):
-        # The installed snapshot image may view shared-memory/mmap buffers;
-        # it stays out of pickles.
-        state = self.__dict__.copy()
-        state.pop("_installed_snapshot", None)
-        return state
 
     @property
     def count(self) -> int:

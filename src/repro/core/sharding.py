@@ -70,13 +70,6 @@ class ShardedInstance:
         self._count = offsets[-1]
         self._leading_position = self.query.free_variables.index(partition.variable)
 
-    def __getstate__(self):
-        # The installed snapshot image may view shared-memory/mmap buffers;
-        # it stays out of pickles.
-        state = self.__dict__.copy()
-        state.pop("_installed_snapshot", None)
-        return state
-
     # ------------------------------------------------------------------
     @property
     def count(self) -> int:

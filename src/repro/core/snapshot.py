@@ -2,10 +2,10 @@
 
 A :class:`~repro.core.preprocessing.PreprocessedInstance` is a tree of Python
 ``Bucket`` objects — ideal for the exact-integer reference walk, wasteful for
-serving: every scalar ``access`` allocates dicts, every pickle round-trip
-copies each tuple, and a worker process cannot share any of it.  This module
-flattens a preprocessed instance (monolithic or sharded) into a *complete
-instance image*:
+serving: every scalar ``access`` allocates dicts, and a worker process
+cannot share any of it without copying each tuple.  This module flattens a
+preprocessed instance (monolithic or sharded) into a *complete instance
+image*:
 
 * per layer: the concatenated bucket ``starts`` (and their pre-augmented
   :class:`~repro.engine.backends.columnar.SegmentedSearcher` embedding),

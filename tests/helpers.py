@@ -1,8 +1,11 @@
-"""Shared helpers for the test suite: small random instances and oracles."""
+"""Shared helpers for the test suite: small random instances, oracles, and
+the environment and process audit of a ``repro`` subprocess."""
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import ConjunctiveQuery, Database, LexOrder, Relation, Weights
@@ -141,3 +144,27 @@ class MonolithLexAccess:
 
     def batch_access(self, ks: Sequence[int]) -> List[Tuple]:
         return [self.access(k) for k in ks]
+
+
+def src_env() -> Dict[str, str]:
+    """This environment with the repo's ``src`` first on ``PYTHONPATH``: what
+    a ``python -m repro.cli`` subprocess needs to import this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def session_members(session: int) -> List[int]:
+    """Live processes of one session (a started server's whole tree)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[3]) == session and fields[0] != "Z":
+            members.append(int(entry))
+    return members

@@ -11,6 +11,7 @@ that identity is asserted here too.
 
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -182,6 +183,9 @@ class TestParity:
             assert status == 400 and "unknown op" in document["error"]["message"]
 
     def test_answers_identical_to_in_process_execute(self):
+        total = {"db": "demo", "query": "Q(x, y) :- R(x, y)", "mode": "sum",
+                 "weights": {"mappings": {"x": [[1, 4], [6, 2]],
+                                          "y": [[2, 1], [5, 3]]}}}
         requests = [
             {"op": "prepare", "db": "demo", "query": QUERY_TEXT, "order": "x, y, z"},
             {"op": "access", "db": "demo", "query": QUERY_TEXT, "order": "x, y, z",
@@ -194,6 +198,9 @@ class TestParity:
             {"op": "access", "db": "demo", "query": QUERY_TEXT, "order": "x, y, z",
              "k": 99},
             {"op": "nope"},
+            {"op": "range", **total, "lo": 0, "hi": 3},
+            {"op": "inverted_access", **total, "answer": [1, 5]},
+            {"op": "inverted_access", **total, "answer": [[1], 2]},
         ]
 
         def canonical(document):
@@ -624,6 +631,87 @@ class TestWithWorkers:
                     "op": "access", "plan": fingerprint, "k": 0,
                 })
                 assert status == 200 and document["answer"] == [1, 2, 5]
+
+
+    def test_worker_killed_under_concurrent_batches_changes_no_answer(
+            self, pooled_service):
+        """SIGKILL a worker while 129-rank batches are in flight on the
+        worker lane: the loop re-serves the dead worker's pending frames
+        inline, ``/healthz`` respawns it, and no client sees an error or a
+        changed answer, before, during or after."""
+        pool = pooled_service.pool
+        with running_server(pooled_service) as server:
+            url = base_url(server)
+            with HTTPSession(url) as session:
+                fingerprint = self._prepare(session)
+                self._await_routed(session, fingerprint)
+                expected = [
+                    session.post_json("/v1/query", {
+                        "op": "access", "plan": fingerprint, "k": k})[1]["answer"]
+                    for k in range(5)]
+            stop = threading.Event()
+            failures = []
+
+            def client(slot):
+                with HTTPSession(url, timeout=10.0) as session:
+                    k = slot
+                    while not stop.is_set():
+                        ks = [(k + i) % 5 for i in range(LOOP_LANE_MAX_ANSWERS + 1)]
+                        try:
+                            status, document = session.post_json("/v1/query", {
+                                "op": "batch_access", "plan": fingerprint, "ks": ks})
+                        except OSError as exc:
+                            failures.append((slot, repr(exc)))
+                            return
+                        if status != 200 or document.get("answers") != [
+                                expected[j] for j in ks]:
+                            failures.append((slot, status, document))
+                            return
+                        k += 1
+
+            clients = [threading.Thread(target=client, args=(slot,), daemon=True)
+                       for slot in range(8)]
+            for thread in clients:
+                thread.start()
+            try:
+                # Kill only while the victim holds frames, until one kill
+                # provably landed on in-flight work (a failed-over frame).
+                fallbacks = pool.stats()["inline_fallbacks"]
+                deadline = time.monotonic() + 20.0
+                while pool.stats()["inline_fallbacks"] == fallbacks:
+                    assert time.monotonic() < deadline, "no kill met a frame"
+                    assert not failures, failures[:3]
+                    victim = pool.stats()["workers"][0]
+                    if not victim["alive"] or server._channel_load(0) == 0:
+                        time.sleep(0.001)
+                        continue
+                    os.kill(victim["pid"], signal.SIGKILL)
+                    time.sleep(0.1)
+                    with HTTPSession(url) as session:
+                        status, health = session.get_json("/healthz")
+                    assert status == 200 and health["pool"]["alive"] == 2, health
+                    assert health["pool"]["restarts"] >= 1, health
+                deadline = time.monotonic() + 10.0
+                with HTTPSession(url) as session:
+                    while session.get_json("/readyz")[0] != 200:
+                        assert time.monotonic() < deadline, "respawn never attached"
+                        time.sleep(0.05)
+                # Serve on after the respawn, the new worker included.
+                routed = pool.stats()["dispatched"]
+                while pool.stats()["dispatched"] < routed + 50:
+                    assert not failures, failures[:3]
+                    assert time.monotonic() < deadline, "worker lane stalled"
+                    time.sleep(0.01)
+            finally:
+                stop.set()
+                for thread in clients:
+                    thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in clients)
+            assert not failures, failures[:3]
+            with HTTPSession(url) as session:
+                assert [session.post_json("/v1/query", {
+                    "op": "access", "plan": fingerprint, "k": k})[1]["answer"]
+                    for k in range(5)] == expected
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Tests for the query/order/FD text parser and the command-line interface."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,7 @@ from repro.cli import main as cli_main
 from repro.core.parser import parse_fds, parse_order, parse_query
 from repro.exceptions import FunctionalDependencyError, QueryStructureError
 from repro.workloads import paper_queries as pq
+from tests.helpers import src_env
 
 
 class TestParseQuery:
@@ -199,27 +199,21 @@ class TestCLIVersionAndUsage:
         args = build_serve_parser().parse_args(command[command.index("serve") + 1:])
         assert args.io_loop == "event"
 
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         loaded = subprocess.run(
             [sys.executable, "-c",
              "import sys, repro.service; print(any(hasattr(module, "
              "'ThreadingHTTPServer') for module in list(sys.modules.values())))"],
-            env=env, capture_output=True, text=True, check=True,
+            env=src_env(), capture_output=True, text=True, check=True, timeout=120,
         )
         assert loaded.stdout.strip() == "False"
 
     def test_cli_imports_no_bench_harness(self):
         """``repro serve`` forks its workers from the CLI process, so importing
         the CLI must not load the benchmark harness into every server."""
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         loaded = subprocess.run(
             [sys.executable, "-c",
              "import sys, repro.cli; print(sorted(m for m in sys.modules "
              "if m.startswith('repro.benchharness')))"],
-            env=env, capture_output=True, text=True, check=True,
+            env=src_env(), capture_output=True, text=True, check=True, timeout=120,
         )
         assert loaded.stdout.strip() == "[]"

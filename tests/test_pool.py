@@ -20,7 +20,6 @@ import time
 import urllib.error
 import urllib.request
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 
@@ -38,6 +37,7 @@ from repro.service import (
 from repro.service.dispatch import LOOP_LANE_MAX_ANSWERS, ROUTABLE_OPS
 from repro.service.protocol import error_response
 from repro.workloads.generators import generate_path_database
+from tests.helpers import session_members, src_env
 
 if not pool_supported():
     pytest.skip("worker pool needs NumPy + shared memory", allow_module_level=True)
@@ -396,28 +396,6 @@ class TestLifecycle:
             InstanceSnapshot.attach(shm_name(publisher_fp, 0))
 
 
-def _src_env():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-
-
-def _session_members(session: int):
-    """Live processes of one session (a started server's whole tree)."""
-    members = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as handle:
-                fields = handle.read().rsplit(")", 1)[1].split()
-        except OSError:
-            continue
-        if int(fields[3]) == session and fields[0] != "Z":
-            members.append(int(entry))
-    return members
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 class TestProcessTree:
     def test_the_master_forks_only_the_workers(self):
@@ -446,7 +424,7 @@ class TestProcessTree:
             " 'workers': sorted(w.process.pid for w in pool.alive_workers())}))\n"
             "service.close()\n"
         )
-        completed = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+        completed = subprocess.run([sys.executable, "-c", script], env=src_env(),
                                    capture_output=True, text=True, timeout=120)
         assert completed.returncode == 0, completed.stderr
         tree = json.loads(completed.stdout)
@@ -467,7 +445,7 @@ class TestProcessTree:
             command += ["--db", f"bad={tmp_path / 'nonexistent.json'}"]
         else:
             command += ["--db", f"demo={good}", "--build-slots", "0"]
-        server = subprocess.Popen(command, env=_src_env(), start_new_session=True,
+        server = subprocess.Popen(command, env=src_env(), start_new_session=True,
                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                   text=True)
         try:
@@ -476,9 +454,9 @@ class TestProcessTree:
             server.kill()
         assert server.returncode == 2, err
         deadline = time.monotonic() + 5.0
-        while _session_members(server.pid) and time.monotonic() < deadline:
+        while session_members(server.pid) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert _session_members(server.pid) == []
+        assert session_members(server.pid) == []
         assert not [name for name in os.listdir("/dev/shm")
                     if name.startswith(f"repro-snap-{server.pid}-")]
 
