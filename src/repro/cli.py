@@ -513,38 +513,19 @@ def serve_main(argv: List[str]) -> int:
     return 0
 
 
-def _post_json(url: str, payload: dict, timeout: float = 30.0) -> dict:
-    import urllib.error
-    import urllib.request
-
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        body = exc.read().decode("utf-8", errors="replace")
-        try:
-            return json.loads(body)
-        except json.JSONDecodeError:
-            return {"ok": False, "error": {"code": "internal", "message": body or str(exc)}}
-    except (urllib.error.URLError, OSError) as exc:
-        # Unreachable/stalled server: stay within the one-JSON-per-line
-        # contract instead of tracebacking out of the runner.
-        return {"ok": False, "error": {"code": "connection_error", "message": str(exc)}}
+def _connection_error(exc: OSError) -> dict:
+    # Unreachable/stalled server: stay within the one-JSON-per-line
+    # contract instead of tracebacking out of the runner.
+    return {"ok": False, "error": {"code": "connection_error", "message": str(exc)}}
 
 
 def _session_post(session, path: str, payload: dict) -> dict:
-    """POST over a keep-alive :class:`HTTPSession`, same error shape as
-    :func:`_post_json` (structured JSON out, never a traceback)."""
+    """POST over a keep-alive :class:`HTTPSession`: structured JSON out,
+    never a traceback."""
     try:
         status, document = session.post_json(path, payload)
     except OSError as exc:
-        return {"ok": False, "error": {"code": "connection_error", "message": str(exc)}}
+        return _connection_error(exc)
     if not isinstance(document, dict) or not document:
         return {"ok": False,
                 "error": {"code": "internal", "message": f"HTTP {status} with no JSON body"}}
@@ -701,18 +682,12 @@ def mutate_main(argv: List[str]) -> int:
 # ----------------------------------------------------------------------
 # metrics / trace (observability front-ends)
 # ----------------------------------------------------------------------
-def _get_text(url: str, timeout: float = 30.0):
-    """GET a URL; returns ``(text, None)`` or ``(None, error message)``."""
-    import urllib.error
-    import urllib.request
+def _query(url: str, payload: dict, timeout: float = 30.0) -> dict:
+    """One ``/v1/query`` POST on its own :class:`HTTPSession`."""
+    from repro.service import HTTPSession
 
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.read().decode("utf-8"), None
-    except urllib.error.HTTPError as exc:
-        return None, f"HTTP {exc.code}: {exc.read().decode('utf-8', errors='replace')}"
-    except (urllib.error.URLError, OSError) as exc:
-        return None, str(exc)
+    with HTTPSession(url, timeout=timeout) as session:
+        return _session_post(session, "/v1/query", payload)
 
 
 def build_metrics_parser() -> argparse.ArgumentParser:
@@ -768,17 +743,20 @@ def metrics_main(argv: List[str]) -> int:
 
     parser = build_metrics_parser()
     args = parser.parse_args(argv)
-    base = args.url.rstrip("/")
 
     if args.prometheus:
-        text, error = _get_text(f"{base}/metrics")
-        if error is not None:
-            print(json.dumps({"ok": False, "error": error}))
+        from repro.service import HTTPSession
+
+        try:
+            with HTTPSession(args.url) as session:
+                text = session.get_text("/metrics")
+        except OSError as exc:
+            print(json.dumps(_connection_error(exc)))
             return 1
         print(text, end="")
         return 0
 
-    response = _post_json(f"{base}/v1/query", {"op": "metrics"})
+    response = _query(args.url, {"op": "metrics"})
     if not response.get("ok"):
         print(json.dumps(response))
         return 1
@@ -850,14 +828,13 @@ def trace_main(argv: List[str]) -> int:
 
     parser = build_trace_parser()
     args = parser.parse_args(argv)
-    base = args.url.rstrip("/")
 
     request = {"op": "trace"}
     if args.trace_id is not None and not args.list_traces:
         request["id"] = args.trace_id
     else:
         request["limit"] = args.limit
-    response = _post_json(f"{base}/v1/query", request)
+    response = _query(args.url, request)
     if not response.get("ok"):
         print(json.dumps(response))
         return 1
@@ -932,12 +909,10 @@ def profile_main(argv: List[str]) -> int:
 
     parser = build_profile_parser()
     args = parser.parse_args(argv)
-    base = args.url.rstrip("/")
     request: dict = {"op": "profile", "seconds": args.seconds}
     if args.hz is not None:
         request["hz"] = args.hz
-    response = _post_json(f"{base}/v1/query", request,
-                          timeout=max(60.0, args.seconds + 30.0))
+    response = _query(args.url, request, timeout=max(60.0, args.seconds + 30.0))
     if not response.get("ok"):
         print(json.dumps(response))
         return 1

@@ -66,16 +66,10 @@ class LexDirectAccess:
     shards:
         ``shards > 1`` builds a sharded instance: the reduced database is
         range-partitioned on the leading variable of the completed order,
-        one per-shard structure is built per range (concurrently when
-        ``workers > 1``), and every access operation routes by rank through
-        the shard offset table.  Results are identical to the monolithic
-        build.  Ignored when a prebuilt ``plan`` is passed (the plan's own
-        shard count wins).
-    workers:
-        Thread-pool size forwarded to the
-        :class:`~repro.planner.executor.PlanExecutor`: independent layers of
-        the layered join tree — or independent shards — build concurrently
-        (identical results).
+        one per-shard structure is built per range, and every access
+        operation routes by rank through the shard offset table.  Results
+        are identical to the monolithic build.  Ignored when a prebuilt
+        ``plan`` is passed (the plan's own shard count wins).
 
     The decision trace is exposed as :attr:`plan` and the measured per-stage
     build statistics of this construction as :attr:`report`.
@@ -91,7 +85,6 @@ class LexDirectAccess:
         backend: Optional[str] = None,
         plan: Optional[QueryPlan] = None,
         shards: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self._original_query = query
         self._original_order = order
@@ -103,7 +96,7 @@ class LexDirectAccess:
         self.plan = plan
         self.classification = plan.classification
 
-        built = PlanExecutor(plan, database, workers=workers).build_lex()
+        built = PlanExecutor(plan, database).build_lex()
         self.report = built.report
         self.complete_order = built.complete_order
 

@@ -486,28 +486,37 @@ def _build_layer(
     return buckets, None
 
 
-def _layer_build_task(payload):
-    """Thread-pool entry point for one layer build.
-
-    The elapsed time is measured *inside* the task so recorded stage stats
-    reflect build work only, not time spent queued for a free worker.
-    """
-    import time as _time
-
-    (index, relation, value_position, key_positions, descending,
-     child_layers, child_key_positions) = payload
-    started = _time.perf_counter()
+def _layer_data(layer, schema, relation, order, children, built) -> LayerData:
+    """Steps 3–5 for one layer whose children are already in ``built``."""
+    value_position = schema.index(layer.variable)
+    key_positions = tuple(schema.index(v) for v in layer.key_variables)
+    child_layers = [built[c] for c in children]
+    # For each child, the positions (in *this* node's schema) of the child's
+    # key variables: those variables are always contained in this node.
+    child_key_positions = [
+        tuple(schema.index(v) for v in child.key_variables) for child in child_layers
+    ]
     buckets, columnar_index = _build_layer(
-        relation, value_position, key_positions, descending,
-        child_layers, child_key_positions,
+        relation, value_position, key_positions,
+        order.is_descending(layer.variable), child_layers, child_key_positions,
     )
-    return index, buckets, columnar_index, _time.perf_counter() - started
+    return LayerData(
+        index=layer.index,
+        variable=layer.variable,
+        variables=schema,
+        key_variables=layer.key_variables,
+        parent=layer.parent,
+        children=children,
+        buckets=buckets,
+        value_position=value_position,
+        key_positions=key_positions,
+        columnar=columnar_index,
+    )
 
 
 def preprocess(
     tree: LayeredJoinTree,
     database: Database,
-    workers: Optional[int] = None,
     on_stage=None,
     assume_reduced: bool = False,
     prebuilt_layers: Optional[Dict[int, LayerData]] = None,
@@ -518,12 +527,10 @@ def preprocess(
     attributes are the atom's variables (this is what
     :func:`repro.core.reduction.eliminate_projections` produces).
 
-    ``workers`` > 1 builds independent layers (sibling subtrees of the layered
-    join tree) concurrently on a thread pool.  The result is
-    bucket-for-bucket identical to the serial build: every layer is built by
-    exactly one task from exactly the same inputs, only the schedule
-    changes.  ``on_stage`` (if given) receives one ``(name, seconds, rows)``
-    call per pipeline stage — the hook the planner's execution report uses.
+    Layers build one at a time, largest index first, so every child is
+    built before its parent (Sec. 3.1's bottom-up pass).  ``on_stage`` (if
+    given) receives one ``(name, seconds, rows)`` call per pipeline stage —
+    the hook the planner's execution report uses.
 
     ``assume_reduced`` promises the database is distinct and fully reduced
     (every tuple participates in an answer) — true for
@@ -548,12 +555,9 @@ def preprocess(
     if prebuilt_layers and not assume_reduced:
         raise ValueError("prebuilt_layers requires assume_reduced=True")
 
-    def _record_elapsed(name: str, seconds: float, rows: Optional[int]) -> None:
-        if on_stage is not None:
-            on_stage(name, seconds, rows)
-
     def _record(name: str, started: float, rows: Optional[int]) -> None:
-        _record_elapsed(name, _time.perf_counter() - started, rows)
+        if on_stage is not None:
+            on_stage(name, _time.perf_counter() - started, rows)
 
     # ------------------------------------------------------------------
     # Step 1: a relation per node (distinct projection of its source atom).
@@ -592,60 +596,18 @@ def preprocess(
     # ------------------------------------------------------------------
     # Steps 3-5: buckets, sorting, and the counting DP (bottom-up).
     # ------------------------------------------------------------------
-    children: Dict[int, Tuple[int, ...]] = {
-        layer.index: tree.children(layer.index) for layer in tree.layers
-    }
+    # Largest index down, so children are built before their parents.
     layer_data: Dict[int, LayerData] = dict(prebuilt_layers)
-
-    def layer_inputs(layer):
-        schema = node_schemas[layer.index]
+    for layer in reversed(tree.layers):
+        if layer.index in prebuilt_layers:
+            continue
+        started = _time.perf_counter()
         relation = reduced[layer.index]
-        value_position = schema.index(layer.variable)
-        key_positions = tuple(schema.index(v) for v in layer.key_variables)
-        descending = order.is_descending(layer.variable)
-        child_layers = [layer_data[c] for c in children[layer.index]]
-        # For each child, the positions (in *this* node's schema) of the child's
-        # key variables: those variables are always contained in this node.
-        child_key_positions = [
-            tuple(schema.index(v) for v in child.key_variables) for child in child_layers
-        ]
-        return (schema, relation, value_position, key_positions, descending,
-                child_layers, child_key_positions)
-
-    def finish_layer(layer, schema, value_position, key_positions, buckets, columnar_index):
-        layer_data[layer.index] = LayerData(
-            index=layer.index,
-            variable=layer.variable,
-            variables=schema,
-            key_variables=layer.key_variables,
-            parent=layer.parent,
-            children=children[layer.index],
-            buckets=buckets,
-            value_position=value_position,
-            key_positions=key_positions,
-            columnar=columnar_index,
+        layer_data[layer.index] = _layer_data(
+            layer, node_schemas[layer.index], relation, order,
+            tree.children(layer.index), layer_data,
         )
-
-    if workers is None or workers <= 1 or len(tree.layers) <= 1:
-        # Serial reference schedule: largest index down, children before parents.
-        for layer in reversed(tree.layers):
-            if layer.index in prebuilt_layers:
-                continue
-            started = _time.perf_counter()
-            (schema, relation, value_position, key_positions, descending,
-             child_layers, child_key_positions) = layer_inputs(layer)
-            buckets, columnar_index = _build_layer(
-                relation, value_position, key_positions, descending,
-                child_layers, child_key_positions,
-            )
-            finish_layer(layer, schema, value_position, key_positions, buckets, columnar_index)
-            _record(f"layer:{layer.index}", started, len(relation))
-    else:
-        _build_layers_parallel(
-            tree, children, layer_inputs, finish_layer,
-            workers=workers, record=_record_elapsed,
-            prebuilt=set(prebuilt_layers),
-        )
+        _record(f"layer:{layer.index}", started, len(relation))
 
     return PreprocessedInstance(query, order, tree, layer_data)
 
@@ -680,12 +642,12 @@ def build_partial_layers(
 
     wanted = set(only)
     order = tree.order
-    children = {layer.index: tree.children(layer.index) for layer in tree.layers}
     layer_data: Dict[int, LayerData] = {}
     for layer in reversed(tree.layers):
         if layer.index not in wanted:
             continue
-        missing = [c for c in children[layer.index] if c not in wanted]
+        children = tree.children(layer.index)
+        missing = [c for c in children if c not in wanted]
         if missing:
             raise ValueError(
                 f"layer set is not downward closed: layer {layer.index} "
@@ -693,85 +655,10 @@ def build_partial_layers(
             )
         started = _time.perf_counter()
         schema, relation = _project_node(layer, database, order, assume_reduced=True)
-        value_position = schema.index(layer.variable)
-        key_positions = tuple(schema.index(v) for v in layer.key_variables)
-        child_layers = [layer_data[c] for c in children[layer.index]]
-        child_key_positions = [
-            tuple(schema.index(v) for v in child.key_variables) for child in child_layers
-        ]
-        buckets, columnar_index = _build_layer(
-            relation, value_position, key_positions,
-            order.is_descending(layer.variable), child_layers, child_key_positions,
-        )
-        layer_data[layer.index] = LayerData(
-            index=layer.index,
-            variable=layer.variable,
-            variables=schema,
-            key_variables=layer.key_variables,
-            parent=layer.parent,
-            children=children[layer.index],
-            buckets=buckets,
-            value_position=value_position,
-            key_positions=key_positions,
-            columnar=columnar_index,
+        layer_data[layer.index] = _layer_data(
+            layer, schema, relation, order, children, layer_data
         )
         if on_stage is not None:
             on_stage(f"shared_layer:{layer.index}",
                      _time.perf_counter() - started, len(relation))
     return layer_data
-
-
-def _build_layers_parallel(tree, children, layer_inputs, finish_layer,
-                           workers: int, record,
-                           prebuilt=frozenset()) -> None:
-    """Topologically scheduled concurrent layer builds (children before parents).
-
-    A layer becomes ready the moment its last child finishes, so sibling
-    subtrees build concurrently while the dependency chain stays intact.  The
-    built structures are identical to the serial schedule's because each layer
-    is a pure function of its reduced relation and its children's data.
-    ``prebuilt`` layers count as already finished: they are never submitted
-    and do not block their parents.
-    """
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    pending_children: Dict[int, int] = {
-        layer.index: sum(1 for c in children[layer.index] if c not in prebuilt)
-        for layer in tree.layers
-        if layer.index not in prebuilt
-    }
-    by_index = {layer.index: layer for layer in tree.layers}
-    rows_of: Dict[int, int] = {}
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {}
-
-        def submit(index: int) -> None:
-            layer = by_index[index]
-            (schema, relation, value_position, key_positions, descending,
-             child_layers, child_key_positions) = layer_inputs(layer)
-            rows_of[index] = len(relation)
-            payload = (index, relation, value_position, key_positions, descending,
-                       child_layers, child_key_positions)
-            future = pool.submit(_layer_build_task, payload)
-            futures[future] = (layer, schema, value_position, key_positions)
-
-        for index, pending in pending_children.items():
-            if pending == 0:
-                submit(index)
-
-        while futures:
-            done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-            for future in done:
-                layer, schema, value_position, key_positions = futures.pop(future)
-                index, buckets, columnar_index, seconds = future.result()
-                finish_layer(layer, schema, value_position, key_positions,
-                             buckets, columnar_index)
-                # The task measured its own build time, so the recorded
-                # stage cost excludes worker-queue wait.
-                record(f"layer:{index}", seconds, rows_of[index])
-                parent = layer.parent
-                if parent is not None:
-                    pending_children[parent] -= 1
-                    if pending_children[parent] == 0:
-                        submit(parent)

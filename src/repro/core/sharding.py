@@ -4,9 +4,8 @@ A :class:`ShardedInstance` is the sharded counterpart of
 :class:`~repro.core.preprocessing.PreprocessedInstance`: the reduced database
 is range-partitioned on the leading variable of the completed order
 (:mod:`repro.engine.partition`), one per-shard ``PreprocessedInstance`` is
-built per range — concurrently when a worker pool is given — and the shards
-are glued together by a prefix-sum *offset table* over the shard answer
-counts.
+built per range, and the shards are glued together by a prefix-sum *offset
+table* over the shard answer counts.
 
 Because the partition follows the leading component of the order, the global
 lexicographic answer order is exactly shard ``0``'s answers, then shard
@@ -39,7 +38,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core import access as access_module
 from repro.core.layered_tree import LayeredJoinTree
-from repro.core.preprocessing import PreprocessedInstance, preprocess
+from repro.core.preprocessing import (
+    PreprocessedInstance,
+    build_partial_layers,
+    preprocess,
+)
 from repro.engine.database import Database
 from repro.engine.partition import DatabasePartition, range_partition
 from repro.exceptions import NotAnAnswerError, OutOfBoundsError
@@ -133,26 +136,10 @@ class ShardedInstance:
 # ----------------------------------------------------------------------
 # Building
 # ----------------------------------------------------------------------
-def _shard_build_task(payload):
-    """Thread-pool entry point for one shard build.
-
-    Build time is measured inside the task so the recorded per-shard stage
-    cost excludes worker-queue wait — and so the single-core acceptance
-    criterion (sum of per-shard times vs the monolithic build) is honest.
-    """
-    index, tree, shard_database, shared_layers = payload
-    started = time.perf_counter()
-    instance = preprocess(
-        tree, shard_database, assume_reduced=True, prebuilt_layers=shared_layers
-    )
-    return index, instance, time.perf_counter() - started
-
-
 def build_sharded_instance(
     tree: LayeredJoinTree,
     database: Database,
     shards: int,
-    workers: Optional[int] = None,
     on_stage=None,
 ) -> ShardedInstance:
     """Partition ``database`` on the leading order variable and build shards.
@@ -174,14 +161,11 @@ def build_sharded_instance(
     per-shard builds skip the semi-join pass outright: every reachable
     bucket matches the monolithic build's exactly.
 
-    ``workers > 1`` builds shards concurrently on threads — each shard build
-    itself runs the serial schedule, so the pool parallelism is across
-    shards, not within them.  ``on_stage`` receives one
+    Shards build one after another, each on :func:`preprocess`'s bottom-up
+    schedule.  ``on_stage`` receives one
     ``("partition"|"shared_layer:<i>"|"shard:<i>", seconds, rows)`` call per
     stage.
     """
-    from repro.core.preprocessing import build_partial_layers
-
     def _record(name: str, seconds: float, rows: Optional[int]) -> None:
         if on_stage is not None:
             on_stage(name, seconds, rows)
@@ -200,25 +184,12 @@ def build_sharded_instance(
         tree, database, shared_indexes, on_stage=on_stage
     )
 
-    payloads = [
-        (index, tree, shard_database, shared_layers)
-        for index, shard_database in enumerate(partition.shard_databases)
-    ]
-    built: List[Optional[PreprocessedInstance]] = [None] * len(payloads)
+    built: List[PreprocessedInstance] = []
+    for index, shard_database in enumerate(partition.shard_databases):
+        started = time.perf_counter()
+        built.append(preprocess(
+            tree, shard_database, assume_reduced=True, prebuilt_layers=shared_layers
+        ))
+        _record(f"shard:{index}", time.perf_counter() - started, shard_database.size())
 
-    if workers is None or workers <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            index, instance, seconds = _shard_build_task(payload)
-            built[index] = instance
-            _record(f"shard:{index}", seconds, partition.shard_databases[index].size())
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            for index, instance, seconds in pool.map(_shard_build_task, payloads):
-                built[index] = instance
-                _record(
-                    f"shard:{index}", seconds, partition.shard_databases[index].size()
-                )
-
-    return ShardedInstance(tree, partition, built)  # type: ignore[arg-type]
+    return ShardedInstance(tree, partition, built)

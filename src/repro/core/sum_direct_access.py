@@ -111,7 +111,6 @@ class SumDirectAccess:
         enforce_tractability: bool = True,
         backend: Optional[str] = None,
         plan: Optional[QueryPlan] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self._original_query = query
         self.weights = weights if weights is not None else Weights.identity()
@@ -123,7 +122,7 @@ class SumDirectAccess:
         self.plan = plan
         self.classification = plan.classification
 
-        built = PlanExecutor(plan, database, workers=workers).build_sum(self.weights)
+        built = PlanExecutor(plan, database).build_sum(self.weights)
         self.report = built.report
         self._rows = built.answers
         self._summands = built.summands

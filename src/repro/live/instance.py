@@ -115,7 +115,6 @@ class LiveInstance:
         shards: Optional[int] = None,
         plan=None,
         policy: Optional[CompactionPolicy] = None,
-        workers: Optional[int] = None,
         enforce_tractability: bool = True,
         publish_snapshots: bool = False,
     ) -> None:
@@ -132,7 +131,6 @@ class LiveInstance:
         self.order = order
         self.live = live
         self.policy = policy or CompactionPolicy()
-        self.workers = workers
         if plan is None:
             plan = build_plan(
                 query, order, mode="lex", fds=fds, backend=backend, shards=shards,
@@ -163,7 +161,7 @@ class LiveInstance:
         )
 
         epoch, database = live.state()
-        base = LexDirectAccess(query, database, order, plan=plan, workers=workers)
+        base = LexDirectAccess(query, database, order, plan=plan)
         self.complete_order = base.complete_order
         self._key = (
             base.complete_order.sort_key(query.free_variables)
@@ -383,10 +381,7 @@ class LiveInstance:
                 base, rebuilt, total = partial
                 mode = f"partial:{rebuilt}/{total}"
         if base is None:
-            base = LexDirectAccess(
-                self.query, database, self.order, plan=self.plan,
-                workers=self.workers,
-            )
+            base = LexDirectAccess(self.query, database, self.order, plan=self.plan)
         old_base_epoch = old.base_epoch
         snapshot = _Snapshot(epoch, epoch, base, database, base)
         self._snapshot = snapshot

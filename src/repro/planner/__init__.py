@@ -2,8 +2,8 @@
 
 ``plan()`` turns a (query, order, FDs, backend, mode) input into a
 :class:`QueryPlan` — the full decision trace of the paper's pipeline, with no
-database needed — and :class:`PlanExecutor` runs a plan against concrete data
-with optional parallel staged builds.  ``explain()`` is the convenience used
+database needed — and :class:`PlanExecutor` runs a plan against concrete data,
+timing every build stage.  ``explain()`` is the convenience used
 by ``repro explain`` and the service's ``explain`` op.
 
 All four algorithm facades (:class:`~repro.core.direct_access.LexDirectAccess`,

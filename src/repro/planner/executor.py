@@ -3,8 +3,7 @@
 The executor is the single place that applies a plan's decisions to a concrete
 database: backend conversion, the FD database rewrite (Lemma 8.5),
 normalisation, projection elimination, and then the mode-specific build —
-the layered preprocessing for LEX direct access (optionally with a worker
-pool building independent layers concurrently), the reduce-project-sort
+the layered preprocessing for LEX direct access, the reduce-project-sort
 pipeline for SUM direct access, or the per-variable selection walks.
 
 Every stage is timed through one funnel (:func:`record_stage` via the
@@ -280,37 +279,22 @@ class PlanExecutor:
         The plan to execute (from :func:`repro.planner.plan`).
     database:
         The input database for the plan's original query.
-    workers:
-        Build independent plan stages (sibling layers of the layered join
-        tree) concurrently on this many threads; ``None``/``1`` builds
-        serially.  Results are identical either way.
+
+    Every build runs on one thread: layers bottom-up, shards one after
+    another (see :func:`~repro.core.preprocessing.preprocess`).
     """
 
-    def __init__(
-        self,
-        plan: QueryPlan,
-        database: Database,
-        workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, plan: QueryPlan, database: Database) -> None:
         if plan.error is not None:
             raise QueryStructureError(
                 f"plan {plan.fingerprint} is not executable: {plan.error}"
             )
         self.plan = plan
         self.database = database
-        self.workers = workers
 
     # ------------------------------------------------------------------
     # Shared front half: backend → FD rewrite → normalisation
     # ------------------------------------------------------------------
-    def _new_report(self) -> ExecutionReport:
-        schedule = "serial"
-        workers = 1
-        if self.workers is not None and self.workers > 1:
-            schedule = "threads"
-            workers = self.workers
-        return ExecutionReport(schedule=schedule, workers=workers)
-
     def _front(self, report: ExecutionReport):
         """Apply the data half of the rewrite stages; returns the working pair."""
         objects = self.plan.objects
@@ -354,7 +338,7 @@ class PlanExecutor:
         """Build the direct-access structure of a ``"lex"`` plan."""
         self._require_mode("lex")
         PLAN_BUILDS.inc(("lex",))
-        report = self._new_report()
+        report = ExecutionReport()
         run_started = time.perf_counter()
         with build_memory(), TRACER.span("build:lex", plan=self.plan.fingerprint):
             normalized, database = self._front(report)
@@ -382,14 +366,12 @@ class PlanExecutor:
                     objects.tree,
                     reduction.database,
                     self.plan.shards,
-                    workers=self.workers,
                     on_stage=on_stage,
                 )
             else:
                 instance = preprocess(
                     objects.tree,
                     reduction.database,
-                    workers=self.workers,
                     on_stage=on_stage,
                     assume_reduced=True,
                 )
@@ -416,7 +398,7 @@ class PlanExecutor:
         self._require_mode("sum")
         PLAN_BUILDS.inc(("sum",))
         weights = weights if weights is not None else Weights.identity()
-        report = self._new_report()
+        report = ExecutionReport()
         run_started = time.perf_counter()
         with build_memory(), TRACER.span("build:sum", plan=self.plan.fingerprint):
             normalized, database = self._front(report)
@@ -460,7 +442,7 @@ class PlanExecutor:
         """Run a ``"selection_lex"`` plan: the ``k``-th answer, no structure kept."""
         self._require_mode("selection_lex")
         PLAN_BUILDS.inc(("selection_lex",))
-        report = self._new_report()
+        report = ExecutionReport()
         run_started = time.perf_counter()
         with TRACER.span("build:selection_lex", plan=self.plan.fingerprint):
             return self._select_lex(k, report, run_started)
@@ -582,7 +564,7 @@ class PlanExecutor:
 
         PLAN_BUILDS.inc(("selection_sum",))
         weights = weights if weights is not None else Weights.identity()
-        report = self._new_report()
+        report = ExecutionReport()
         run_started = time.perf_counter()
         with TRACER.span("build:selection_sum", plan=self.plan.fingerprint):
             normalized, database = self._front(report)

@@ -8,8 +8,7 @@ paper's pipeline makes before any data is touched:
   reordered order),
 * normalisation and projection elimination (the full query ``Q'``),
 * the completed variable order and the layered join tree shape,
-* the staged build DAG (which stages depend on which — the parallelism the
-  executor exploits), and
+* the staged build DAG (which stages depend on which), and
 * per-stage build statistics once a :class:`~repro.planner.executor.PlanExecutor`
   has run the plan against a database.
 
@@ -37,7 +36,7 @@ class PlanStage:
     ``name`` is unique within the plan (e.g. ``"layer:3"``); ``kind`` groups
     stages for display (``"analyze"``, ``"rewrite"``, ``"reduce"``,
     ``"layer"``, ``"solve"``); ``depends_on`` names the stages that must
-    finish first — stages with disjoint ancestries may build concurrently.
+    finish first.
     """
 
     name: str
@@ -113,8 +112,6 @@ class StageStats:
 class ExecutionReport:
     """Per-stage statistics of one :class:`PlanExecutor` run."""
 
-    schedule: str = "serial"           # "serial" | "threads"
-    workers: int = 1
     total_seconds: float = 0.0
     stages: List[StageStats] = field(default_factory=list)
 
@@ -131,8 +128,6 @@ class ExecutionReport:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "schedule": self.schedule,
-            "workers": self.workers,
             "total_seconds": round(self.total_seconds, 6),
             "stages": [stats.to_dict() for stats in self.stages],
         }
@@ -354,10 +349,7 @@ class QueryPlan:
             lines.append(f"error: {self.error}")
         if self.stats is not None:
             stats = self.stats
-            lines.append(
-                f"last build: {stats.schedule} × {stats.workers} workers, "
-                f"{stats.total_seconds * 1000:.1f} ms total"
-            )
+            lines.append(f"last build: {stats.total_seconds * 1000:.1f} ms total")
             for stage_stats in stats.stages:
                 rows = f", rows={stage_stats.rows}" if stage_stats.rows is not None else ""
                 lines.append(

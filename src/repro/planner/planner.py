@@ -113,8 +113,7 @@ def plan(
 
     ``shards > 1`` asks for a sharded build: the reduced database is
     range-partitioned on the leading variable of the completed order and the
-    per-shard structures build independently (the executor may build them
-    concurrently).  Sharding is a LEX-order concept — SUM orders rank by a
+    per-shard structures build independently of each other.  Sharding is a LEX-order concept — SUM orders rank by a
     global weight and orderless selection has no leading variable — so those
     plans fall back to one shard and record the reason in ``plan.partition``
     (visible in ``repro explain``) instead of erroring.
@@ -415,8 +414,8 @@ def _structural_steps(result: QueryPlan, stages: List[PlanStage], mode: str,
         "remove dangling tuples over the layered tree (Yannakakis)",
         ("project_nodes",),
     ))
-    # A layer's build depends on its children's builds — sibling subtrees are
-    # independent, which is exactly what the parallel executor exploits.
+    # A layer's build depends on its children's builds (Sec. 3.1's bottom-up
+    # counting pass).
     for layer_plan in result.layers:
         depends = tuple(f"layer:{c}" for c in layer_plan.children) or ("semi_join_reduce",)
         stages.append(PlanStage(

@@ -18,14 +18,15 @@ keeps preprocessed instances alive and serves many requests against them:
   client used by ``repro client`` and the benchmark harnesses.
 * :mod:`repro.service.pool` — a prefork :class:`WorkerPool`: worker
   processes attach the shared-memory snapshot images of published plans and
-  serve routed read ops (``repro serve --workers N``); epoch swaps cross
-  process boundaries through a re-attach barrier before old buffers retire.
+  serve routed read ops (``repro serve --workers N``), each sent to the ready
+  worker with the fewest frames in flight; epoch swaps cross process
+  boundaries through a re-attach barrier before old buffers retire.
 * :mod:`repro.service.gates` — :class:`AdmissionGate`: cost-classified plan
   builds are bounded (slots + queue) and shed with a structured 503, so
   point lookups on built plans never wait behind a build storm.
-* :mod:`repro.service.dispatch` — routing (fingerprint + leading-rank shard
-  affinity) and the worker-side op executor, mirrored field-for-field from
-  the master's handlers so routed responses stay bit-identical.
+* :mod:`repro.service.dispatch` — the lane rule, the serve-frame codec and
+  the one read-op table, shared by the master's handlers and the workers so
+  routed responses stay bit-identical.
 
 Quick start::
 

@@ -1,4 +1,4 @@
-"""Lane choice, worker routing and the one read-op table of the serving tier.
+"""Lane choice, serve frames and the one read-op table of the serving tier.
 
 The master keeps the full :class:`~repro.service.QueryService` (databases,
 plan cache, mutation log); worker processes hold only *attached* shared-memory
@@ -12,13 +12,13 @@ A front-end serves each request on one of three **lanes**
   (:meth:`~repro.service.service.PreparedPlan.pinned_reader`): it can never
   sync, rebuild or compact there, and no thread or process is woken.
 * **worker** — a larger routable read (:data:`ROUTABLE_OPS`) on a published
-  plan goes to the pool worker picked by plan fingerprint hash + the shard of
-  the request's leading rank (one worker's touched shards stay hot in its
-  page cache); it answers from its attached image and returns the response
-  *pre-encoded as JSON bytes*, off the master's interpreter.  There a page of
-  answers stays columnar from the kernel to the socket: the worker's reader
-  returns an :class:`~repro.core.snapshot.AnswerPage`, :func:`read_op` passes
-  it through, and :func:`encode_response` splices its rows from value
+  plan goes to the ready pool worker with the fewest frames in flight
+  (:meth:`~repro.service.pool.WorkerPool.route`); it answers from its
+  attached image and returns the response *pre-encoded as JSON bytes*, off
+  the master's interpreter.  There a page of answers stays columnar from
+  the kernel to the socket: the worker's reader returns an
+  :class:`~repro.core.snapshot.AnswerPage`, :func:`read_op` passes it
+  through, and :func:`encode_response` splices its rows from value
   fragments the worker rendered once — no tuple, list or boxed value per
   answer.
 * **executor** — everything that can build, refresh, rebuild, compact, scrape
@@ -50,8 +50,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from bisect import bisect_right
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.access import plain_ints, validate_rank
 from repro.core.snapshot import AnswerPage
@@ -127,58 +126,6 @@ def choose_lane(request: Mapping, reader, published: bool) -> str:
     if size <= LOOP_LANE_MAX_ANSWERS:
         return "loop"
     return "worker" if published and request["op"] in ROUTABLE_OPS else "executor"
-
-
-def _fnv1a(text: str) -> int:
-    """Tiny stable string hash (``hash()`` is salted per process)."""
-    value = 0x811C9DC5
-    for byte in text.encode("utf-8"):
-        value = ((value ^ byte) * 0x01000193) & 0xFFFFFFFF
-    return value
-
-
-def leading_rank(request: Mapping) -> int:
-    """The first rank a request touches (0 when it names none)."""
-    op = request.get("op")
-    try:
-        if op == "access":
-            return int(request.get("k", 0))
-        if op == "range":
-            return int(request.get("lo", 0))
-        if op == "batch_access":
-            ks = request.get("ks")
-            if isinstance(ks, (list, tuple)) and ks:
-                return int(ks[0])
-    except (TypeError, ValueError):
-        return 0
-    return 0
-
-
-def shard_of_request(request: Mapping, offsets: Optional[Sequence[int]]) -> int:
-    """The shard of the request's leading rank in the published offset table."""
-    if not offsets or len(offsets) <= 2:
-        return 0
-    k = leading_rank(request)
-    if k < 0:
-        return 0
-    return max(0, min(bisect_right(offsets, k) - 1, len(offsets) - 2))
-
-
-def pick_worker(
-    fingerprint: str,
-    request: Mapping,
-    offsets: Optional[Sequence[int]],
-    worker_count: int,
-) -> int:
-    """Deterministic worker index: fingerprint hash + leading-rank shard.
-
-    All requests for one (plan, shard) land on one worker, and distinct
-    plans spread across workers via the fingerprint hash.
-    """
-    if worker_count <= 1:
-        return 0
-    shard = shard_of_request(request, offsets)
-    return (_fnv1a(fingerprint) + shard) % worker_count
 
 
 # ----------------------------------------------------------------------

@@ -790,8 +790,7 @@ class EventLoopHTTPServer:
             fingerprint = plan.fingerprint
             epoch = plan.engine.base_epoch
             if pool.export_current(fingerprint, epoch):
-                worker = pool.route(fingerprint, request, epoch,
-                                    load=self._channel_load)
+                worker = pool.route(fingerprint, epoch, load=self._channel_load)
                 if worker is not None and self._send_to_worker(
                         worker, conn, request, now):
                     return

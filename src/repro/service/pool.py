@@ -21,10 +21,12 @@ Architecture (master-dispatch over per-worker pipes):
   no rebuild — and acks.  The export registry records which workers serve
   which epoch.
 * Routable requests (see :mod:`repro.service.dispatch`) are sent to the
-  worker picked by fingerprint + leading-rank shard affinity; the worker
-  executes against its :class:`~repro.core.snapshot.SnapshotInstance` and
-  returns the **pre-encoded JSON response bytes**, so answer serialization
-  runs on a worker core instead of the master's interpreter.
+  ready worker with the fewest frames in flight (:meth:`WorkerPool.route`;
+  every worker maps the same image, so no worker is a better home for a
+  plan or a shard than another); the worker executes against its
+  :class:`~repro.core.snapshot.SnapshotInstance` and returns the
+  **pre-encoded JSON response bytes**, so answer serialization runs on a
+  worker core instead of the master's interpreter.
 * **Cross-process epoch barrier**: when a live compaction publishes a new
   epoch, :meth:`epoch_swap` freezes the export (requests fall back to the
   master's merged-delta view, so answers stay bit-identical mid-swap),
@@ -347,7 +349,7 @@ class _Worker:
     """Master-side handle of one worker slot (survives respawns)."""
 
     __slots__ = ("index", "process", "conn", "serve_sock", "lock",
-                 "serve_lock", "seq", "alive", "restarts")
+                 "serve_lock", "seq", "alive", "restarts", "in_flight")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -362,19 +364,40 @@ class _Worker:
         self.seq = itertools.count(1)
         self.alive = False
         self.restarts = 0
+        #: blocking :meth:`WorkerPool.dispatch` frames in flight (the event
+        #: loop counts its own frames per channel).
+        self.in_flight = 0
+
+
+def _exited(process) -> bool:
+    """Whether a worker process has exited, reaped or not.
+
+    ``is_alive()`` reports a killed multi-threaded worker (a profiler thread
+    is enough) alive while its leader sits as a zombie waiting for the
+    other threads to go, so a ``Z``/``X`` state in ``/proc/<pid>/stat``
+    counts as exited.  Without ``/proc`` only ``is_alive()`` decides.
+    """
+    try:
+        with open(f"/proc/{process.pid}/stat", "rb") as handle:
+            stat = handle.read()
+        # The state follows the parenthesised command name, which may
+        # itself contain ")".
+        if stat.rpartition(b")")[2].split()[0] in (b"Z", b"X"):
+            return True
+    except (OSError, IndexError):
+        pass
+    return not process.is_alive()
 
 
 class _Export:
     """One plan's published state as the workers see it."""
 
-    __slots__ = ("fingerprint", "epoch", "name", "offsets", "ready")
+    __slots__ = ("fingerprint", "epoch", "name", "ready")
 
-    def __init__(self, fingerprint: str, epoch: int, name: str,
-                 offsets: Optional[Tuple[int, ...]]) -> None:
+    def __init__(self, fingerprint: str, epoch: int, name: str) -> None:
         self.fingerprint = fingerprint
         self.epoch = epoch
         self.name = name
-        self.offsets = offsets
         self.ready: set = set()  # worker indexes attached at self.epoch
 
 
@@ -551,8 +574,10 @@ class WorkerPool:
                     except OSError:
                         pass
             with worker.lock:
+                # Counted before the slot turns alive, so a probe that sees
+                # the new worker also sees its restart.
+                worker.restarts += 1
                 self._spawn(worker)
-            worker.restarts += 1
             WORKER_RESTARTS.inc((str(worker.index),))
             POOL_WORKERS.set(len(self.alive_workers()))
             # Re-attach every current export so the fresh worker can serve.
@@ -572,7 +597,7 @@ class WorkerPool:
         """Detect externally-killed workers and respawn them (``/healthz``)."""
         for worker in self._workers:
             process = worker.process
-            if worker.alive and process is not None and not process.is_alive():
+            if worker.alive and process is not None and _exited(process):
                 with worker.lock:
                     self._mark_dead(worker)
         # Respawns run on daemon threads; give a just-detected death a
@@ -648,17 +673,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Exports and the epoch barrier
     # ------------------------------------------------------------------
-    @staticmethod
-    def _offsets_of(engine) -> Optional[Tuple[int, ...]]:
-        instance = getattr(getattr(engine, "_snapshot", None), "base", None)
-        instance = getattr(instance, "_instance", None)
-        if instance is None or not getattr(instance, "is_sharded", False):
-            return None
-        offsets = [0]
-        for shard in instance.shards:
-            offsets.append(offsets[-1] + shard.count)
-        return tuple(offsets)
-
     def ensure_export(self, plan) -> None:
         """Export a prepared plan's published image to every worker (idempotent).
 
@@ -681,12 +695,10 @@ class WorkerPool:
             return
         from repro.core.snapshot import shm_name
 
-        self._bind(fingerprint, epoch, shm_name(publisher.fingerprint, epoch),
-                   self._offsets_of(engine))
+        self._bind(fingerprint, epoch, shm_name(publisher.fingerprint, epoch))
 
-    def _bind(self, fingerprint: str, epoch: int, name: str,
-              offsets: Optional[Tuple[int, ...]]) -> None:
-        export = _Export(fingerprint, epoch, name, offsets)
+    def _bind(self, fingerprint: str, epoch: int, name: str) -> None:
+        export = _Export(fingerprint, epoch, name)
         with self._lock:
             self._exports[fingerprint] = export
         for worker in self.alive_workers():
@@ -727,8 +739,7 @@ class WorkerPool:
             from repro.core.snapshot import shm_name
 
             self._bind(fingerprint, new_epoch,
-                       shm_name(publisher.fingerprint, new_epoch),
-                       self._offsets_of(instance))
+                       shm_name(publisher.fingerprint, new_epoch))
         finally:
             if publisher is not None and old_epoch != new_epoch:
                 publisher.retire(old_epoch)
@@ -765,42 +776,36 @@ class WorkerPool:
             return (export is not None and export.epoch == epoch
                     and bool(export.ready))
 
-    def route(self, fingerprint: str, request: Mapping,
-              expected_epoch: Optional[int] = None,
+    def route(self, fingerprint: str, expected_epoch: Optional[int] = None,
               load: Optional[Callable[[int], int]] = None) -> Optional[_Worker]:
         """The worker a routable request should go to — no I/O, or ``None``.
 
-        Deterministic fingerprint+shard affinity, the pick :meth:`dispatch`
-        makes; split out so the event loop can decide routability on the
-        loop thread and do the frame I/O itself.  Every ready worker holds
-        the same image, so with ``load`` (worker index → frames in flight to
-        it) the least loaded ready worker wins and the affinity only breaks
-        ties: a batch's leading rank is a skewed draw, and affinity alone
-        would queue most batches on one worker.
+        The ready worker with the fewest frames in flight, lowest index on
+        ties; ``load`` maps a worker index to its frames in flight (the
+        event loop passes its channel counts, the default is the blocking
+        :meth:`dispatch` count).  Every ready worker maps the same image, so
+        load is the only thing that tells them apart.
         """
-        from repro.service.dispatch import pick_worker
-
         with self._lock:
-            export = self._exports.get(fingerprint)
-            if export is None or not export.ready:
-                return None
-            if expected_epoch is not None and export.epoch != expected_epoch:
-                return None
-            ready = export.ready.copy()
-            offsets = export.offsets
-        index = pick_worker(fingerprint, request, offsets, len(self._workers))
-        if index not in ready:
-            candidates = sorted(ready)
-            if not candidates:
-                return None
-            index = candidates[index % len(candidates)]
-        if load is not None and len(ready) > 1:
-            affinity = index
-            index = min(ready, key=lambda i: (load(i), i != affinity, i))
-        worker = self._workers[index]
-        if not worker.alive or worker.serve_sock is None:
+            return self._pick(fingerprint, expected_epoch, load)
+
+    def _pick(self, fingerprint: str, expected_epoch: Optional[int],
+              load: Optional[Callable[[int], int]]) -> Optional[_Worker]:
+        """:meth:`route`'s choice; called with ``self._lock`` held."""
+        export = self._exports.get(fingerprint)
+        if export is None or (expected_epoch is not None
+                              and export.epoch != expected_epoch):
             return None
-        return worker
+        candidates = [
+            worker for worker in (self._workers[i] for i in export.ready)
+            if worker.alive and worker.serve_sock is not None
+        ]
+
+        def frames(worker: _Worker) -> Tuple[int, int]:
+            count = worker.in_flight if load is None else load(worker.index)
+            return count, worker.index
+
+        return min(candidates, key=frames, default=None)
 
     def note_dispatched(self, worker_index: int, outcome: str) -> None:
         """Record a routing outcome (shared by both serve paths)."""
@@ -863,11 +868,18 @@ class WorkerPool:
                  trace_id: Optional[str] = None) -> Optional[Tuple]:
         """Route one request; ``(status, body bytes, Span | None)`` or ``None``
         for inline fallback."""
-        worker = self.route(fingerprint, request, expected_epoch)
-        if worker is None:
-            return None
+        with self._lock:
+            # Pick and count under one lock, so concurrent callers spread.
+            worker = self._pick(fingerprint, expected_epoch, None)
+            if worker is None:
+                return None
+            worker.in_flight += 1
         alive_before = worker.alive
-        result = self._serve_roundtrip(worker, request, trace_id)
+        try:
+            result = self._serve_roundtrip(worker, request, trace_id)
+        finally:
+            with self._lock:
+                worker.in_flight -= 1
         if result is not None:
             self.note_dispatched(worker.index, "routed")
             return result

@@ -4,8 +4,7 @@ The planner refactor must be observationally invisible: for randomized
 queries, orders, FDs and databases, the planner-routed
 :class:`~repro.core.direct_access.LexDirectAccess` returns byte-identical
 answers to :class:`tests.helpers.MonolithLexAccess` (the pre-refactor
-wiring, kept as a test oracle) on both storage backends, the
-serial and worker-pool executor schedules agree with each other, and the SUM
+wiring, kept as a test oracle) on both storage backends, and the SUM
 facade keeps the pre-refactor sort contract (weight, then repr tie-break).
 Plan fingerprints are checked for stability (same logical plan ⇒ same id,
 insensitive to FD listing order) and sensitivity (different order ⇒ different
@@ -83,19 +82,6 @@ class TestLexEquivalence:
         assert routed.count == monolith.count
         ranks = range(routed.count)
         assert routed.batch_access(ranks) == monolith.batch_access(ranks)
-
-    @settings(max_examples=25, deadline=None)
-    @given(instance=path_instance(), workers=st.sampled_from([2, 3]))
-    def test_parallel_schedule_matches_serial(self, backend, instance, workers):
-        database, order = instance
-        try:
-            serial = LexDirectAccess(PATH_QUERY, database, order, backend=backend)
-        except IntractableQueryError:
-            return
-        parallel = LexDirectAccess(
-            PATH_QUERY, database, order, backend=backend, workers=workers
-        )
-        assert list(serial) == list(parallel)
 
     @settings(max_examples=25, deadline=None)
     @given(rows=relation_rows(2), s_rows=relation_rows(2))

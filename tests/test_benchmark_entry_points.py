@@ -33,3 +33,15 @@ def test_every_entry_point_loads(key):
 
 def test_plan_executor_builds_from_a_plan_and_a_database():
     inspect.signature(rungs.load("PlanExecutor")).bind("plan", "database")
+
+
+@pytest.mark.parametrize("key, args, kwargs", [
+    ("QueryService", (), {"max_plans": 8, "backend": "columnar", "shards": 2}),
+    ("plan", ("query", "order"), {"mode": "lex", "shards": 2}),
+    ("WorkerPool", (), {"workers": 2}),
+    ("WorkerPool.dispatch", ("pool", "fingerprint", "request", "epoch"), {}),
+    ("QueryService.dispatch_raw", ("service", "request"), {}),
+    ("execute_snapshot_op", ("kernel", "bench", "request"), {}),
+])
+def test_the_ladder_calls_keep_their_shape(key, args, kwargs):
+    inspect.signature(rungs.load(key)).bind(*args, **kwargs)

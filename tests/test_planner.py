@@ -151,12 +151,6 @@ class TestExecutor:
         assert built.report.stage("eliminate_projections") is not None
         assert built.report.total_seconds > 0
 
-    def test_parallel_workers_reported(self):
-        p = plan(PATH, LexOrder(("x", "y", "z")))
-        built = PlanExecutor(p, path_db(), workers=2).build_lex()
-        assert built.report.schedule == "threads"
-        assert built.report.workers == 2
-
     def test_prebuilt_plan_reused_by_facade(self):
         p = plan(PATH, LexOrder(("x", "y", "z")))
         access = LexDirectAccess(PATH, path_db(), LexOrder(("x", "y", "z")), plan=p)
@@ -172,9 +166,9 @@ class TestExecutor:
 
 
 class TestParallelStarBuild:
-    """A star query's sibling layers are independent, so the thread schedule
-    really builds them concurrently; it must equal the serial build and the
-    planner-free wiring, through the object walk and through the image."""
+    """A star query's sibling layers are independent subtrees; the bottom-up
+    build must equal the planner-free wiring, through the object walk and
+    through the image."""
 
     STAR = ConjunctiveQuery(
         ("c", "x1", "x2", "x3", "x4"),
@@ -183,27 +177,24 @@ class TestParallelStarBuild:
     )
 
     @pytest.mark.parametrize("backend", available_backends())
-    def test_thread_schedule_equals_serial_and_monolith(self, backend):
+    def test_serial_build_equals_monolith(self, backend):
         import random
 
         order = LexOrder(self.STAR.free_variables)
         database = generate_star_database(60, 12, branches=4, seed=13,
                                           backend=backend)
         p = plan(self.STAR, order, backend=backend)
-        serial = PlanExecutor(p, database).build_lex()
-        threads = PlanExecutor(p, database, workers=2).build_lex()
-        assert threads.report.schedule == "threads"
+        built = PlanExecutor(p, database).build_lex()
         monolith = MonolithLexAccess(self.STAR, database, order, backend=backend)
         count = monolith.count
-        assert serial.instance.count == threads.instance.count == count > 1
+        assert built.instance.count == count > 1
         rng = random.Random(13)
         ranks = sorted({0, count - 1, *(rng.randrange(count) for _ in range(200))})
         expected = monolith.batch_access(ranks)
-        for build in (serial, threads):
-            assert batch_access(build.instance, ranks) == expected
-            image = installed(build.instance)
-            if image is not None:
-                assert image.instance().page(ranks).tuples() == expected
+        assert batch_access(built.instance, ranks) == expected
+        image = installed(built.instance)
+        if image is not None:
+            assert image.instance().page(ranks).tuples() == expected
 
 
 class TestServiceExplain:

@@ -271,6 +271,130 @@ class TestHealthAndRespawn:
         assert workers[0]["pid"] != victim["pid"]
 
 
+class TestRoute:
+    """``route``: the ready worker with the fewest frames in flight, lowest
+    index on ties — decided from pool state alone, so a pool that never
+    forks can hold it deterministically."""
+
+    @staticmethod
+    def ready_pool(ready=(0, 1, 2), epoch=3):
+        from repro.service.pool import _Export
+
+        pool = WorkerPool(workers=3)
+        for worker in pool._workers:
+            worker.alive = True
+            worker.serve_sock = object()
+        export = _Export("fp", epoch, "unused-shm-name")
+        export.ready.update(ready)
+        pool._exports["fp"] = export
+        return pool
+
+    @staticmethod
+    def loads(**frames):
+        return lambda index: frames.get(f"w{index}", 0)
+
+    def test_least_loaded_worker_wins(self):
+        pool = self.ready_pool()
+        assert pool.route("fp", 3, self.loads(w0=2, w1=0, w2=1)).index == 1
+        assert pool.route("fp", 3, self.loads(w0=2, w1=3, w2=1)).index == 2
+
+    def test_lowest_index_wins_a_tie(self):
+        pool = self.ready_pool()
+        assert pool.route("fp", 3, self.loads()).index == 0
+        assert pool.route("fp", 3, self.loads(w0=1)).index == 1
+        assert pool.route("fp").index == 0  # epoch unchecked, blocking count
+
+    def test_blocking_dispatch_count_is_the_default_load(self):
+        pool = self.ready_pool()
+        pool._workers[0].in_flight = 2
+        pool._workers[1].in_flight = 1
+        assert pool.route("fp", 3).index == 2
+
+    def test_unready_and_dead_workers_are_skipped(self):
+        pool = self.ready_pool(ready=(1, 2))
+        assert pool.route("fp", 3, self.loads()).index == 1
+        pool._workers[1].alive = False
+        assert pool.route("fp", 3, self.loads(w2=5)).index == 2
+        pool._workers[2].serve_sock = None
+        assert pool.route("fp", 3, self.loads()) is None
+
+    def test_no_export_wrong_epoch_or_no_ready_worker_is_none(self):
+        assert self.ready_pool().route("other", 3) is None
+        assert self.ready_pool().route("fp", 4) is None
+        assert self.ready_pool(ready=()).route("fp", 3) is None
+
+
+def test_concurrent_blocking_dispatch_spreads_over_both_workers(pooled, plan):
+    """Two client threads on one unsharded plan: while one frame is in
+    flight to a worker, the other thread's request goes to the idle one."""
+    if not METRICS.enabled:
+        pytest.skip("metrics disabled in this run")
+    request = {"op": "range", "plan": plan.fingerprint, "lo": 0, "hi": plan.count}
+    start = threading.Barrier(2)
+    misses = []
+
+    def client():
+        start.wait(timeout=10)
+        for _ in range(200):
+            if pooled.dispatch_raw(dict(request)) is None:
+                misses.append(1)
+
+    threads = [threading.Thread(target=client) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not misses
+    # Every pick was paid back: a lost update would strand a count here.
+    assert [worker.in_flight for worker in pooled.pool._workers] == [0, 0]
+    served = {}
+    for line in pooled.pool.render_worker_metrics().splitlines():
+        if line.startswith("repro_pool_worker_requests_total{"):
+            worker = line.split('worker="', 1)[1].split('"', 1)[0]
+            served[worker] = served.get(worker, 0) + float(line.rsplit(" ", 1)[1])
+    assert served.get("0", 0) > 0 and served.get("1", 0) > 0, served
+
+
+def proc_state(pid):
+    """The state letter in ``/proc/<pid>/stat``; ``None`` once the pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rpartition(b")")[2].split()[0].decode()
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_one_health_probe_sees_a_killed_profiled_worker(monkeypatch):
+    """A worker with a profiler thread lingers as a zombie after SIGKILL
+    until its other threads are gone; the very next probe must already
+    count it dead and respawn it."""
+    monkeypatch.setenv("REPRO_PROFILE_HZ", "97")
+    pool = WorkerPool(workers=2)
+    assert pool.start()
+    try:
+        for _ in range(5):
+            before = pool.check_health()
+            assert before["alive"] == 2
+            pid = pool.stats()["workers"][0]["pid"]
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while proc_state(pid) not in ("Z", "X", None):
+                assert time.monotonic() < deadline, "killed worker never exited"
+                time.sleep(0.001)
+            health = pool.check_health()
+            assert health["restarts"] == before["restarts"] + 1, health
+            assert health["alive"] == 2
+    finally:
+        pool.close()
+
+
 class TestObservability:
     def test_worker_metrics_carry_worker_labels(self, pooled, plan):
         for k in range(plan.count):
@@ -304,18 +428,6 @@ class TestObservability:
             assert info["seconds"] >= 0
             assert info["count"] == plan.count
         assert stats["pool"]["dispatched"] >= 1
-
-
-    def test_route_prefers_an_idle_worker_over_a_busy_affinity(self, pooled, plan):
-        pool = pooled.pool
-        request = {"op": "batch_access", "plan": plan.fingerprint, "ks": [0, 1]}
-        affinity = pool.route(plan.fingerprint, request).index
-        busy = {affinity: 3}
-        picked = pool.route(plan.fingerprint, request,
-                            load=lambda index: busy.get(index, 0))
-        assert picked.index != affinity
-        # Equal load: the affinity breaks the tie.
-        assert pool.route(plan.fingerprint, request, load=lambda index: 1).index == affinity
 
     def test_process_pss_gauge_has_one_row_per_live_process(self, pooled, plan):
         from repro.obs import PROCESS_PSS

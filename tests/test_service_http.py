@@ -343,6 +343,17 @@ class TestClientRunner:
         assert exit_code == 1
         assert all(r["error"]["code"] == "connection_error" for r in responses)
 
+    @pytest.mark.parametrize("command", [
+        ["metrics"], ["metrics", "--prometheus"], ["trace"], ["trace", "abc"],
+        ["profile", "--seconds", "0"],
+    ])
+    def test_unreachable_server_fails_observability_tools_alike(self, command, capsys):
+        exit_code, responses = self._run_client(
+            command + ["--url", "http://127.0.0.1:9"], capsys
+        )
+        assert exit_code == 1
+        assert [r["error"]["code"] for r in responses] == ["connection_error"]
+
     def test_failed_request_sets_exit_code(self, db_file, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps({"op": "access", "db": "demo", "query": QUERY_TEXT, "k": 999}) + "\n")

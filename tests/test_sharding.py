@@ -151,12 +151,6 @@ class TestShardedEdgeCases:
         for k in range(0, mono.count, 7):
             assert sharded.inverted_access(mono.access(k)) == k
 
-    def test_worker_pool_matches_serial(self):
-        database = path_database()
-        serial = LexDirectAccess(PATH_QUERY, database, ORDER, shards=4)
-        threaded = LexDirectAccess(PATH_QUERY, database, ORDER, shards=4, workers=3)
-        assert list(serial) == list(threaded)
-
     def test_shard_offsets_cover_count(self):
         database = path_database()
         sharded = LexDirectAccess(PATH_QUERY, database, ORDER, shards=5)
